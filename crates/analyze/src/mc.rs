@@ -193,7 +193,9 @@ pub mod protocols {
     /// `core::runtime` double-checked plan cache: two threads race
     /// `get_or_build` on the same shape. The read-miss / build-outside
     /// -lock / write-recheck protocol must converge both threads onto
-    /// one `Arc` with exactly one resident plan.
+    /// one `Arc` with exactly one resident plan, and count exactly one
+    /// miss: the lookup that inserted it (the other is a hit, whether
+    /// it found the plan or adopted it under the write lock).
     pub fn plan_cache_dcl(bound: usize) -> Outcome {
         checker(bound).explore("plan-cache-dcl", || {
             let cache = Arc::new(ShardedPlanCache::new(0));
@@ -209,6 +211,7 @@ pub mod protocols {
             assert_eq!(cache.len(), 1);
             let st = cache.stats(0);
             assert_eq!(st.plan_hits + st.plan_misses, 2);
+            assert_eq!(st.plan_misses, 1, "a miss must count one insert");
         })
     }
 

@@ -2,7 +2,7 @@
 //! OpenBLAS edge shapes, on packed operands (kc = 64).
 
 use smm_bench::timing::Group;
-use smm_kernels::Kernel;
+use smm_kernels::{BOperand, Kernel};
 
 fn bench_kernels() {
     let mut group = Group::new("native_microkernels");
@@ -26,7 +26,8 @@ fn bench_kernels() {
                 kc,
                 1.0,
                 std::hint::black_box(&a),
-                std::hint::black_box(&b),
+                mr,
+                BOperand::Packed(std::hint::black_box(&b)),
                 &mut cbuf,
                 mr,
             );
@@ -40,11 +41,14 @@ fn bench_static_vs_dynamic() {
     let a: Vec<f32> = (0..mr * kc).map(|i| i as f32 * 0.01).collect();
     let b: Vec<f32> = (0..nr * kc).map(|i| i as f32 * 0.02).collect();
     let mut cbuf = vec![0.0f32; mr * nr];
-    let k = Kernel::<f32>::for_shape(8, 8);
-    group.bench("static_8x8", || k.run(kc, 1.0, &a, &b, &mut cbuf, mr));
-    group.bench("dynamic_8x8", || {
-        smm_kernels::native::microkernel_dyn(mr, nr, kc, 1.0, &a, &b, &mut cbuf, mr)
-    });
+    for (name, k) in [
+        ("static_8x8", Kernel::<f32>::for_shape(mr, nr)),
+        ("dynamic_8x8", Kernel::<f32>::fallback(mr, nr)),
+    ] {
+        group.bench(name, || {
+            k.run(kc, 1.0, &a, mr, BOperand::Packed(&b), &mut cbuf, mr)
+        });
+    }
 }
 
 fn main() {

@@ -38,12 +38,4 @@ fn main() {
     group.bench("gemm_8x8x8_cached", || {
         smm.gemm(1.0, a.as_ref(), b.as_ref(), 0.0, cm.as_mut())
     });
-
-    // Compiled schedule (offsets precomputed) vs the plan walker.
-    let plan = SmmPlan::build(8, 8, 8, &cfg);
-    let compiled = smm_core::CompiledPlan::compile(&plan, 8, 8, 8);
-    let mut scratch = smm_core::CompiledScratch::new();
-    group.bench("gemm_8x8x8_compiled", || {
-        compiled.execute(1.0f32, a.data(), b.data(), 0.0, cm.data_mut(), &mut scratch)
-    });
 }

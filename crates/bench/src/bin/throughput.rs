@@ -97,7 +97,16 @@ fn batch_spawn_per_call(plan: &SmmPlan, a: &[Mat<f32>], b: &[Mat<f32>], c: &mut 
         for group in groups {
             s.spawn(move || {
                 for (ai, bi, ci) in group {
-                    smm_core::execute(plan, 1.0, ai.as_ref(), bi.as_ref(), 0.0, ci.as_mut());
+                    let pool = smm_gemm::TaskPool::global();
+                    smm_core::execute_in(
+                        pool,
+                        plan,
+                        1.0,
+                        ai.as_ref(),
+                        bi.as_ref(),
+                        0.0,
+                        ci.as_mut(),
+                    );
                 }
             });
         }
@@ -129,7 +138,8 @@ fn gemm_spawn_per_call(
                 let b_blk = b.block(0, j0, k, nt);
                 handles.push(s.spawn(move || {
                     let mut local = Mat::<f32>::zeros(mt, nt);
-                    smm_core::execute(&plan, 1.0, a_blk, b_blk, 0.0, local.as_mut());
+                    let pool = smm_gemm::TaskPool::global();
+                    smm_core::execute_in(pool, &plan, 1.0, a_blk, b_blk, 0.0, local.as_mut());
                     (i0, j0, local)
                 }));
             }
@@ -158,7 +168,7 @@ fn batch_section(records: &mut Vec<ShapeRecord>) {
             .map(|i| Mat::random(k, n, 100 + i as u64))
             .collect();
 
-        let smm = Smm::<f32>::with_threads(THREADS);
+        let smm = Smm::<f32>::builder().threads(THREADS).build();
         let desc = smm_core::StridedBatch::dense(m, n, k, batch);
         let a_flat: Vec<f32> = a.iter().flat_map(|x| x.data().to_vec()).collect();
         let b_flat: Vec<f32> = b.iter().flat_map(|x| x.data().to_vec()).collect();
@@ -213,7 +223,7 @@ fn single_gemm_section(records: &mut Vec<ShapeRecord>) {
         let b = Mat::<f32>::random(k, n, 8);
         let mut c = Mat::<f32>::zeros(m, n);
 
-        let smm = Smm::<f32>::with_threads(THREADS);
+        let smm = Smm::<f32>::builder().threads(THREADS).build();
         let pooled = time_per_call(2000, || {
             smm.gemm(1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
         });
@@ -450,7 +460,7 @@ fn telemetry_section() {
 /// drops the hit rate and books fresh capacity into `alloc_bytes`.
 fn arena_steady_state_section() -> arena::ArenaStats {
     println!("\narena steady state ({THREADS} threads, gates: hit rate >= 99%, 0 bytes):");
-    let smm = Smm::<f32>::with_threads(THREADS);
+    let smm = Smm::<f32>::builder().threads(THREADS).build();
 
     let (m, n, k) = (64usize, 64usize, 64usize);
     let a = Mat::<f32>::random(m, k, 11);

@@ -2,28 +2,25 @@
 //!
 //! The workloads that motivate SMM (DNN layers, block-sparse formats,
 //! ABFT) multiply *many* small matrices of the same shape. LIBXSMM's
-//! batched interface is the x86 precedent; here a single cached plan
-//! serves the whole batch, and — when the batch is large but each GEMM
-//! is tiny — parallelism goes *across* batch entries instead of inside
-//! one GEMM, which sidesteps every §III-D pitfall at once (nothing
-//! small is ever split). Entries are dispatched to the instance's
-//! persistent [`TaskPool`](smm_gemm::pool::TaskPool), not to freshly
-//! spawned threads. Each entry executes through
-//! [`execute_traced`] and therefore draws its packing buffers from the
-//! worker's thread-local [`smm_gemm::arena`]: the workers are
-//! persistent, so a warmed-up batch loop packs every entry without
-//! allocating.
-
-use std::time::Instant;
+//! batched interface is the x86 precedent; here the instance's cached
+//! plan for the shape serves the whole batch, and — when the batch is
+//! large but each GEMM is tiny — parallelism goes *across* batch
+//! entries instead of inside one GEMM, which sidesteps every §III-D
+//! pitfall at once (nothing small is ever split). Entries are
+//! dispatched to the instance's persistent
+//! [`TaskPool`](smm_gemm::pool::TaskPool), not to freshly spawned
+//! threads. Each entry runs the plan's single-thread walk and therefore
+//! draws its packing buffers from the worker's thread-local
+//! [`smm_gemm::arena`]: the workers are persistent, so a warmed-up
+//! batch loop packs every entry without allocating.
 
 use smm_gemm::matrix::{MatMut, MatRef};
 use smm_kernels::Scalar;
 
 use crate::error::{Operand, SmmError};
-use crate::exec::execute_traced;
-use crate::plan::{PlanConfig, SmmPlan};
+use crate::exec::{execute_with, run_pooled};
 use crate::smm::Smm;
-use crate::telemetry::{now_if, CallSite, Phase, Recorder};
+use crate::telemetry::{CallSite, Phase, Recorder};
 use crate::trace::{shape_arg, SpanName};
 
 /// Arguments describing one strided batch: `batch` GEMMs of identical
@@ -171,10 +168,11 @@ impl StridedBatch {
 
 impl<S: Scalar> Smm<S> {
     /// Strided-batch GEMM: `C[i] = alpha * A[i] * B[i] + beta * C[i]`
-    /// for `i in 0..batch`, with full validation. One plan (built
-    /// single-threaded — each GEMM is small) serves every entry; when
-    /// this `Smm` allows multiple threads, entries are distributed
-    /// across the instance's persistent pool.
+    /// for `i in 0..batch`, with full validation. The plan comes from
+    /// this instance's plan cache, as for [`Smm::gemm`]; every entry
+    /// runs it on one thread, ignoring its thread grid. When this `Smm`
+    /// allows multiple threads, entries are distributed across the
+    /// instance's persistent pool instead.
     pub fn gemm_batch(
         &self,
         desc: &StridedBatch,
@@ -189,9 +187,11 @@ impl<S: Scalar> Smm<S> {
         if desc.batch == 0 || desc.m == 0 || desc.n == 0 {
             return Ok(());
         }
+        // Entry windows: `stride_c >= ldc * n > 0` by the validation
+        // above, and the last window ends where the buffer does.
+        let windows = c.chunks_mut(desc.stride_c).take(desc.batch);
         if desc.k == 0 {
-            for i in 0..desc.batch {
-                let c_i = &mut c[i * desc.stride_c..];
+            for c_i in windows {
                 MatMut::from_slice(c_i, desc.m, desc.n, desc.ldc).scale(beta);
             }
             return Ok(());
@@ -201,13 +201,7 @@ impl<S: Scalar> Smm<S> {
             .span(SpanName::GemmBatch, shape_arg(desc.m, desc.n, desc.k));
         let rec = self.telemetry().recorder(CallSite::GemmBatch);
         let t_call = rec.now();
-        // Intra-GEMM threading is deliberately disabled: batch-level
-        // parallelism never splits a small dimension.
-        let plan_cfg = PlanConfig {
-            max_threads: 1,
-            ..self.config().clone()
-        };
-        let plan = SmmPlan::build(desc.m, desc.n, desc.k, &plan_cfg);
+        let plan = self.plan(desc.m, desc.n, desc.k);
         rec.span_since(Phase::PlanLookup, t_call);
         let threads = self.config().max_threads.clamp(1, desc.batch);
 
@@ -217,111 +211,54 @@ impl<S: Scalar> Smm<S> {
         // reads; otherwise each group records one coarse Compute span.
         let fine = rec.active() && (plan.pack_a || plan.pack_b);
         let entry_rec = if fine { rec } else { Recorder::none() };
-        let finish = |total: Option<Instant>| {
-            if let Some(t0) = total {
-                self.telemetry().record_call(
-                    CallSite::GemmBatch,
-                    desc.m,
-                    desc.n,
-                    desc.k,
-                    std::mem::size_of::<S>(),
-                    desc.batch as u64,
-                    t0.elapsed().as_nanos() as u64,
-                );
-            }
-        };
-
-        let run_entry = |plan: &SmmPlan, c_i: &mut [S], i: usize| {
-            let a_i = &a[i * desc.stride_a..];
-            let b_i = &b[i * desc.stride_b..];
-            let ar = MatRef::from_slice(a_i, desc.m, desc.k, desc.lda);
-            let br = MatRef::from_slice(b_i, desc.k, desc.n, desc.ldb);
+        let run_entry = |i: usize, c_i: &mut [S]| {
+            let ar = MatRef::from_slice(&a[i * desc.stride_a..], desc.m, desc.k, desc.lda);
+            let br = MatRef::from_slice(&b[i * desc.stride_b..], desc.k, desc.n, desc.ldb);
             let cm = MatMut::from_slice(c_i, desc.m, desc.n, desc.ldc);
-            execute_traced(self.pool(), plan, entry_rec, alpha, ar, br, beta, cm);
+            execute_with(None, &plan, entry_rec, alpha, ar, br, beta, cm);
         };
 
         if threads <= 1 {
             let t0 = if fine { None } else { rec.now() };
-            for i in 0..desc.batch {
-                run_entry(&plan, &mut c[i * desc.stride_c..], i);
+            for (i, c_i) in windows.enumerate() {
+                run_entry(i, c_i);
             }
             rec.span_since(Phase::Compute, t0);
-            finish(t_call);
-            return Ok(());
-        }
-
-        // Split C into disjoint per-entry windows, then deal the
-        // entries round-robin into one task per worker; the tasks run
-        // on the persistent pool (no thread spawns).
-        let mut windows: Vec<(usize, &mut [S])> = Vec::with_capacity(desc.batch);
-        let mut rest = c;
-        for i in 0..desc.batch {
-            let take = if i + 1 == desc.batch {
-                rest.len()
-            } else {
-                desc.stride_c
-            };
-            let (win, tail) = rest.split_at_mut(take);
-            windows.push((i, win));
-            rest = tail;
-        }
-        let mut groups: Vec<Vec<(usize, &mut [S])>> = (0..threads).map(|_| Vec::new()).collect();
-        for (pos, entry) in windows.into_iter().enumerate() {
-            groups[pos % threads].push(entry);
-        }
-        let plan_ref = &plan;
-        let run_entry_ref = &run_entry;
-        let timed = rec.active();
-        // Capture parentage here: the groups run on pool threads.
-        let tracer = self.tracer();
-        let ctx = tracer.current_ctx();
-        let tasks: Vec<_> = groups
-            .into_iter()
-            .enumerate()
-            .map(|(g, group)| {
+        } else {
+            // Deal the entries round-robin into one task per worker.
+            let mut groups: Vec<Vec<(usize, &mut [S])>> =
+                (0..threads).map(|_| Vec::new()).collect();
+            for (i, c_i) in windows.enumerate() {
+                groups[i % threads].push((i, c_i));
+            }
+            let run_entry = &run_entry;
+            let tasks = groups.into_iter().map(|group| {
                 move || {
-                    let _w = tracer.span_in(ctx, SpanName::Worker, g as u64);
-                    let t0 = now_if(timed);
-                    for (i, win) in group {
-                        run_entry_ref(plan_ref, win, i);
+                    for (i, c_i) in group {
+                        run_entry(i, c_i);
                     }
-                    t0.map_or(0u64, |t| t.elapsed().as_nanos() as u64)
                 }
-            })
-            .collect();
-        let t_dispatch = rec.now();
-        let busys = self.pool().run_scoped(tasks);
-        if let Some(td) = t_dispatch {
-            let dispatch_ns = td.elapsed().as_nanos() as u64;
-            let max_busy = busys.iter().copied().max().unwrap_or(0);
+            });
+            let busy = run_pooled(self.pool(), &rec, &self.tracer, 0, tasks);
             if !fine {
                 // One span for the parallel section's critical path —
                 // per-group spans would cost more than these entries.
+                let max_busy = busy.iter().map(|&(_, ns)| ns).max().unwrap_or(0);
                 rec.span_ns(Phase::Compute, max_busy);
             }
-            rec.span_ns(Phase::Dispatch, dispatch_ns);
-            // Barrier slack: the caller's wait beyond the slowest group.
-            rec.span_ns(Phase::Sync, dispatch_ns.saturating_sub(max_busy));
         }
-        finish(t_call);
+        if let Some(t0) = t_call {
+            self.telemetry().record_call(
+                CallSite::GemmBatch,
+                desc.m,
+                desc.n,
+                desc.k,
+                std::mem::size_of::<S>(),
+                desc.batch as u64,
+                t0.elapsed().as_nanos() as u64,
+            );
+        }
         Ok(())
-    }
-
-    /// Panicking wrapper over [`Smm::gemm_batch`], kept for the
-    /// pre-builder API. The panic messages are the [`SmmError`]
-    /// `Display` strings.
-    pub fn gemm_strided_batch(
-        &self,
-        desc: StridedBatch,
-        alpha: S,
-        a: &[S],
-        b: &[S],
-        beta: S,
-        c: &mut [S],
-    ) {
-        if let Err(e) = self.gemm_batch(&desc, alpha, a, b, beta, c) {
-            panic!("{e}");
-        }
     }
 }
 
@@ -348,8 +285,8 @@ mod tests {
         let b = fill((desc.batch.max(1)) * desc.stride_b + desc.ldb * desc.n, 2);
         let c0 = fill((desc.batch.max(1)) * desc.stride_c + desc.ldc * desc.n, 3);
         let mut c = c0.clone();
-        let smm = Smm::<f32>::with_threads(threads);
-        smm.gemm_strided_batch(desc, 1.5, &a, &b, 0.5, &mut c);
+        let smm = Smm::<f32>::builder().threads(threads).build();
+        smm.gemm_batch(&desc, 1.5, &a, &b, 0.5, &mut c).unwrap();
         for i in 0..desc.batch {
             let ar = MatRef::from_slice(&a[i * desc.stride_a..], desc.m, desc.k, desc.lda);
             let br = MatRef::from_slice(&b[i * desc.stride_b..], desc.k, desc.n, desc.ldb);
@@ -403,7 +340,7 @@ mod tests {
         let b = fill(d.batch * d.stride_b + 64, 2);
         let mut c = vec![7.0f32; d.batch * d.stride_c + 64];
         let smm = Smm::<f32>::new();
-        smm.gemm_strided_batch(d, 1.0, &a, &b, 0.0, &mut c);
+        smm.gemm_batch(&d, 1.0, &a, &b, 0.0, &mut c).unwrap();
         // Padding region of entry 0 untouched.
         for x in &c[16..32] {
             assert_eq!(*x, 7.0);
@@ -414,7 +351,8 @@ mod tests {
     fn empty_batch_is_a_noop() {
         let smm = Smm::<f32>::new();
         let mut c = vec![1.0f32; 4];
-        smm.gemm_strided_batch(StridedBatch::dense(2, 2, 2, 0), 1.0, &[], &[], 0.0, &mut c);
+        smm.gemm_batch(&StridedBatch::dense(2, 2, 2, 0), 1.0, &[], &[], 0.0, &mut c)
+            .unwrap();
         assert_eq!(c, vec![1.0; 4]);
     }
 
@@ -423,23 +361,30 @@ mod tests {
         let d = StridedBatch::dense(2, 2, 0, 3);
         let smm = Smm::<f32>::new();
         let mut c = vec![4.0f32; 3 * d.stride_c.max(4)];
-        smm.gemm_strided_batch(d, 1.0, &[], &[], 0.25, &mut c);
+        smm.gemm_batch(&d, 1.0, &[], &[], 0.25, &mut c).unwrap();
         assert_eq!(c[0], 1.0);
     }
 
     #[test]
-    #[should_panic(expected = "C buffer too short")]
     fn short_c_rejected() {
         let d = StridedBatch::dense(4, 4, 4, 4);
         let smm = Smm::<f32>::new();
         let a = vec![0.0f32; 256];
         let b = vec![0.0f32; 256];
         let mut c = vec![0.0f32; 20];
-        smm.gemm_strided_batch(d, 1.0, &a, &b, 0.0, &mut c);
+        let err = smm.gemm_batch(&d, 1.0, &a, &b, 0.0, &mut c).unwrap_err();
+        assert_eq!(
+            err,
+            SmmError::BufferTooShort {
+                operand: Operand::C,
+                len: 20,
+                need: 64
+            }
+        );
+        assert!(err.to_string().contains("C buffer too short"));
     }
 
     #[test]
-    #[should_panic(expected = "overlap")]
     fn overlapping_strides_rejected() {
         let mut d = StridedBatch::dense(4, 4, 4, 2);
         d.stride_c = 8; // < ldc * n
@@ -447,7 +392,16 @@ mod tests {
         let a = vec![0.0f32; 64];
         let b = vec![0.0f32; 64];
         let mut c = vec![0.0f32; 64];
-        smm.gemm_strided_batch(d, 1.0, &a, &b, 0.0, &mut c);
+        let err = smm.gemm_batch(&d, 1.0, &a, &b, 0.0, &mut c).unwrap_err();
+        assert_eq!(
+            err,
+            SmmError::OverlappingStride {
+                operand: Operand::C,
+                stride: 8,
+                min: 16
+            }
+        );
+        assert!(err.to_string().contains("overlap"));
     }
 
     #[test]
@@ -511,7 +465,7 @@ mod tests {
         let a = fill(d.batch * d.stride_a, 1);
         let b = fill(d.batch * d.stride_b, 2);
         let mut c = vec![0.0f32; d.batch * d.stride_c];
-        let smm = Smm::<f32>::with_threads(4);
+        let smm = Smm::<f32>::builder().threads(4).build();
         smm.gemm_batch(&d, 1.0, &a, &b, 0.0, &mut c).unwrap();
         let ar = MatRef::from_slice(&a, d.m, d.k, d.lda);
         let br = MatRef::from_slice(&b, d.k, d.n, d.ldb);
@@ -551,7 +505,7 @@ mod tests {
         let a = fill(d.stride_a, 21);
         let b = fill(d.stride_b, 22);
         let c0 = fill(d.stride_c, 23);
-        let smm = Smm::<f32>::with_threads(4);
+        let smm = Smm::<f32>::builder().threads(4).build();
         let mut c_batch = c0.clone();
         smm.gemm_batch(&d, 2.0, &a, &b, 0.5, &mut c_batch).unwrap();
         let mut want = Mat::<f32>::from_fn(d.m, d.n, |r, col| c0[col * d.ldc + r]);
@@ -585,6 +539,51 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn gemm_batch_takes_its_plan_from_the_cache() {
+        let d = StridedBatch::dense(6, 5, 7, 3);
+        let a = fill(d.batch * d.stride_a, 1);
+        let b = fill(d.batch * d.stride_b, 2);
+        let mut c = vec![0.0f32; d.batch * d.stride_c];
+        let smm = Smm::<f32>::new();
+        for _ in 0..2 {
+            smm.gemm_batch(&d, 1.0, &a, &b, 0.0, &mut c).unwrap();
+        }
+        let s = smm.stats();
+        assert_eq!((s.plan_misses, s.plan_hits), (1, 1));
+        assert_eq!(s.cached_plans, 1);
+    }
+
+    #[test]
+    fn threaded_batch_is_bit_identical_to_per_entry_gemm() {
+        // 48x40x24 plans a split grid at 4 threads; each batch entry
+        // runs that cached plan on one thread.
+        let smm = Smm::<f32>::builder().threads(4).build();
+        for d in [
+            StridedBatch::dense(48, 40, 24, 5),
+            StridedBatch::dense(7, 5, 9, 6),
+        ] {
+            let a = fill(d.batch * d.stride_a, 31);
+            let b = fill(d.batch * d.stride_b, 32);
+            let c0 = fill(d.batch * d.stride_c, 33);
+            let mut c_batch = c0.clone();
+            smm.gemm_batch(&d, 1.5, &a, &b, 0.5, &mut c_batch).unwrap();
+            let mut c_gemm = c0;
+            for i in 0..d.batch {
+                smm.gemm(
+                    1.5,
+                    MatRef::from_slice(&a[i * d.stride_a..], d.m, d.k, d.lda),
+                    MatRef::from_slice(&b[i * d.stride_b..], d.k, d.n, d.ldb),
+                    0.5,
+                    MatMut::from_slice(&mut c_gemm[i * d.stride_c..], d.m, d.n, d.ldc),
+                );
+            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&c_batch), bits(&c_gemm), "{}x{}x{}", d.m, d.n, d.k);
+        }
+        assert!(smm.plan(48, 40, 24).threads() > 1, "grid really split");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Native execution of an [`SmmPlan`].
+//! Native execution of an [`SmmPlan`] — the one §IV tile walker.
 //!
 //! Single-threaded execution writes micro-tiles straight into `C`
 //! (tiles are exact, never padded). Multi-threaded execution splits the
@@ -23,27 +23,14 @@ use smm_gemm::pack::{pack_a_exact, pack_b_exact_append};
 use smm_gemm::parallel::split_ranges;
 use smm_gemm::pool::TaskPool;
 use smm_kernels::registry::TileSpan;
-use smm_kernels::Scalar;
+use smm_kernels::{BOperand, Kernel, Scalar};
 
-use crate::direct::DirectKernel;
 use crate::plan::SmmPlan;
 use crate::telemetry::{now_if, Phase, Recorder};
 use crate::trace::{SpanName, Tracer};
 
-/// Execute `C = alpha·A·B + beta·C` under a plan, on the process-wide
-/// persistent pool ([`TaskPool::global`]).
-pub fn execute<S: Scalar>(
-    plan: &SmmPlan,
-    alpha: S,
-    a: MatRef<'_, S>,
-    b: MatRef<'_, S>,
-    beta: S,
-    c: MatMut<'_, S>,
-) {
-    execute_in(TaskPool::global(), plan, alpha, a, b, beta, c);
-}
-
-/// [`execute`] on an explicit pool handle.
+/// Execute `C = alpha·A·B + beta·C` under a plan, splitting its thread
+/// grid across `pool`.
 pub fn execute_in<S: Scalar>(
     pool: &TaskPool,
     plan: &SmmPlan,
@@ -53,40 +40,26 @@ pub fn execute_in<S: Scalar>(
     beta: S,
     c: MatMut<'_, S>,
 ) {
-    execute_traced(pool, plan, Recorder::none(), alpha, a, b, beta, c);
+    let split = Some((pool, &Tracer::disabled()));
+    execute_with(split, plan, Recorder::none(), alpha, a, b, beta, c);
 }
 
-/// [`execute_in`] with a telemetry [`Recorder`]: when the recorder is
-/// active, this call's pack/compute spans (and, for multi-threaded
-/// plans, the dispatch and synchronization spans) are recorded under
-/// the recorder's call site. With an inactive recorder the function
-/// never reads the clock, so the untraced path is unchanged.
+/// [`execute_in`] under a telemetry [`Recorder`]. `split` is the pool
+/// the plan's thread grid is split across, with the request [`Tracer`]
+/// its worker spans go to; `None` runs the whole plan on the calling
+/// thread whatever its grid (a batch entry).
+///
+/// An active recorder gets this call's pack/compute spans and, for a
+/// split grid, the dispatch and synchronization spans; an inactive one
+/// never reads the clock. With tracing enabled each pool-worker cell
+/// emits a `worker` span parented under the caller's current span.
+/// Neither changes the cell decomposition or the execution order, so
+/// results stay bit-for-bit identical to the untraced path.
 #[allow(clippy::too_many_arguments)]
-pub fn execute_traced<S: Scalar>(
-    pool: &TaskPool,
+pub(crate) fn execute_with<S: Scalar>(
+    split: Option<(&TaskPool, &Tracer)>,
     plan: &SmmPlan,
     rec: Recorder<'_>,
-    alpha: S,
-    a: MatRef<'_, S>,
-    b: MatRef<'_, S>,
-    beta: S,
-    c: MatMut<'_, S>,
-) {
-    execute_traced_ctx(pool, plan, rec, &Tracer::disabled(), alpha, a, b, beta, c);
-}
-
-/// [`execute_traced`] under a request [`Tracer`]: when tracing is
-/// enabled, each pool-worker cell task emits a `worker` span parented
-/// under the caller's current span (captured as a [`crate::TraceCtx`]
-/// before dispatch, since the cells run on pool threads). The cell
-/// decomposition and execution order are untouched — results stay
-/// bit-for-bit identical to the untraced path.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_traced_ctx<S: Scalar>(
-    pool: &TaskPool,
-    plan: &SmmPlan,
-    rec: Recorder<'_>,
-    tracer: &Tracer,
     alpha: S,
     a: MatRef<'_, S>,
     b: MatRef<'_, S>,
@@ -103,8 +76,7 @@ pub fn execute_traced_ctx<S: Scalar>(
         plan.k
     );
     let timed = rec.active();
-    let threads = plan.threads();
-    if threads <= 1 {
+    let Some((pool, tracer)) = split.filter(|_| plan.threads() > 1) else {
         c.scale(beta);
         let t0 = rec.now();
         let cost = run_tiles(
@@ -123,7 +95,7 @@ pub fn execute_traced_ctx<S: Scalar>(
             record_cost(&rec, &cost, t0.elapsed().as_nanos() as u64);
         }
         return;
-    }
+    };
 
     // The beta scaling is the serial bookend of the parallel section —
     // it counts as Sync in the Table-II sense, together with the
@@ -161,44 +133,60 @@ pub fn execute_traced_ctx<S: Scalar>(
     // split_grid yields row band outer, column band inner — the same
     // order the nested loops below consume.
     let mut tiles_iter = c.split_grid(&row_splits, &col_splits).into_iter();
-
-    // Parentage for the worker spans, captured on this thread: the
-    // cells run on pool threads where the thread-local current span is
-    // someone else's (or nobody's).
-    let ctx = tracer.current_ctx();
-    let mut tasks: Vec<_> = Vec::with_capacity(row_bands.len() * col_bands.len());
-    let mut cell = 0u64;
+    let mut tasks = Vec::with_capacity(row_bands.len() * col_bands.len());
     for &(i_base, _, m_tiles) in &row_bands {
         for &(j_base, _, n_tiles) in &col_bands {
             let (ti, tj, mut tile) = tiles_iter.next().expect("one tile per band pair");
             debug_assert_eq!((ti, tj), (i_base, j_base));
-            let cell_idx = cell;
-            cell += 1;
             tasks.push(move || {
-                let _w = tracer.span_in(ctx, SpanName::Worker, cell_idx);
-                let t0 = now_if(timed);
-                let cost = run_tiles(
+                run_tiles(
                     plan, timed, alpha, a, b, &mut tile, m_tiles, n_tiles, i_base, j_base,
-                );
-                let busy_ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                (cost, busy_ns)
+                )
             });
         }
     }
+    for (cost, busy_ns) in run_pooled(pool, &rec, tracer, scale_ns, tasks) {
+        record_cost(&rec, &cost, busy_ns);
+    }
+}
+
+/// Run `tasks` as one scoped batch on `pool`. Each task runs under a
+/// `worker` span parented to the caller's current span — captured here,
+/// since the tasks run on pool threads — and is timed when `rec`
+/// records. Records the Dispatch span and the Sync span (the caller's
+/// wait beyond the slowest task, plus `serial_ns` of serial bookend
+/// work) and returns each task's output with its busy nanoseconds.
+pub(crate) fn run_pooled<T: Send>(
+    pool: &TaskPool,
+    rec: &Recorder<'_>,
+    tracer: &Tracer,
+    serial_ns: u64,
+    tasks: impl IntoIterator<Item = impl FnOnce() -> T + Send>,
+) -> Vec<(T, u64)> {
+    let timed = rec.active();
+    let ctx = tracer.current_ctx();
+    let tasks: Vec<_> = tasks
+        .into_iter()
+        .enumerate()
+        .map(|(i, task)| {
+            move || {
+                let _w = tracer.span_in(ctx, SpanName::Worker, i as u64);
+                let t0 = now_if(timed);
+                let out = task();
+                (out, t0.map_or(0, |t| t.elapsed().as_nanos() as u64))
+            }
+        })
+        .collect();
     let t_dispatch = rec.now();
     let results = pool.run_scoped(tasks);
-    let dispatch_ns = t_dispatch.map_or(0, |t| t.elapsed().as_nanos() as u64);
-    if timed {
-        let mut max_busy = 0u64;
-        for (cost, busy_ns) in results {
-            record_cost(&rec, &cost, busy_ns);
-            max_busy = max_busy.max(busy_ns);
-        }
+    if let Some(t) = t_dispatch {
+        let dispatch_ns = t.elapsed().as_nanos() as u64;
+        let max_busy = results.iter().map(|&(_, ns)| ns).max().unwrap_or(0);
+        let slack_ns = dispatch_ns.saturating_sub(max_busy);
         rec.span_ns(Phase::Dispatch, dispatch_ns);
-        // Barrier slack (the caller's wait beyond the slowest cell)
-        // plus the serial scale bookend; no merge term remains.
-        rec.span_ns(Phase::Sync, dispatch_ns.saturating_sub(max_busy) + scale_ns);
+        rec.span_ns(Phase::Sync, slack_ns + serial_ns);
     }
+    results
 }
 
 /// Packing cost observed by one [`run_tiles`] invocation; all zeros
@@ -307,28 +295,23 @@ fn run_tiles<S: Scalar>(
                 (&a.data()[kk * lda + it.offset..], lda)
             };
             for (s, jt) in n_tiles.iter().enumerate() {
-                let kernel = DirectKernel::new(it.logical, jt.logical);
+                let kernel = Kernel::<S>::for_shape(it.logical, jt.logical);
                 let cptr = c.tile_ptr(
                     it.offset - i_base,
                     jt.offset - j_base,
                     it.logical,
                     jt.logical,
                 );
-                if b_offs[s] != UNPACKED {
-                    let b_sl = &bpack[b_offs[s]..b_offs[s] + kc * jt.logical];
-                    // SAFETY: `tile_ptr` just asserted the tile's
-                    // `logical x logical` window lies inside `c`, whose
-                    // elements `&mut c` owns exclusively; the kernel
-                    // writes exactly that footprint with stride
-                    // `ldc = c.ld()`.
-                    unsafe { kernel.run_bp_ptr(kc, alpha, a_src, a_stride, b_sl, cptr, ldc) };
+                let b_src = if b_offs[s] != UNPACKED {
+                    BOperand::Packed(&bpack[b_offs[s]..b_offs[s] + kc * jt.logical])
                 } else {
-                    let b_src = &b.data()[jt.offset * ldb + kk..];
-                    // SAFETY: as above — the asserted window is owned
-                    // exclusively through `&mut c` and the kernel stays
-                    // inside it.
-                    unsafe { kernel.run_bd_ptr(kc, alpha, a_src, a_stride, b_src, ldb, cptr, ldc) };
-                }
+                    BOperand::ColMajor(&b.data()[jt.offset * ldb + kk..], ldb)
+                };
+                // SAFETY: `tile_ptr` just asserted the tile's
+                // `logical x logical` window lies inside `c`, whose
+                // elements `&mut c` owns exclusively; the kernel writes
+                // exactly that footprint with stride `ldc = c.ld()`.
+                unsafe { kernel.run_ptr(kc, alpha, a_src, a_stride, b_src, cptr, ldc) };
             }
         }
         kk += kc;
@@ -342,6 +325,18 @@ mod tests {
     use crate::plan::PlanConfig;
     use smm_gemm::gemm_naive;
     use smm_gemm::matrix::Mat;
+
+    /// [`execute_in`] on the process-wide pool.
+    fn execute<S: Scalar>(
+        plan: &SmmPlan,
+        alpha: S,
+        a: MatRef<'_, S>,
+        b: MatRef<'_, S>,
+        beta: S,
+        c: MatMut<'_, S>,
+    ) {
+        execute_in(TaskPool::global(), plan, alpha, a, b, beta, c);
+    }
 
     fn check(m: usize, n: usize, k: usize, cfg: &PlanConfig, alpha: f32, beta: f32) {
         let plan = SmmPlan::build(m, n, k, cfg);

@@ -37,9 +37,11 @@ pub const DEFAULT_PLAN_CAPACITY: usize = 1024;
 /// Snapshot of runtime counters, returned by [`crate::Smm::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeStats {
-    /// Plan-cache lookups that found an existing plan.
+    /// Plan-cache lookups answered with a resident plan, including
+    /// lookups that built one but adopted a concurrent insert.
     pub plan_hits: u64,
-    /// Plan-cache lookups that had to build a plan.
+    /// Plan-cache lookups that inserted a plan: at most one per shape
+    /// between evictions, however many threads race on it.
     pub plan_misses: u64,
     /// Plans dropped because a shard reached its capacity.
     pub plan_evictions: u64,
@@ -123,15 +125,17 @@ impl ShardedPlanCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(plan);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         // Build outside the lock: planning may simulate candidate
         // kernels and must not serialize other shapes' lookups.
         let built = Arc::new(build());
         let mut map = shard.write().unwrap();
         if let Some(plan) = map.get(&key) {
-            // A concurrent miss won the race; adopt its plan.
+            // A concurrent lookup won the race; adopt its plan. Only
+            // the inserting lookup counts as the miss.
+            self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(plan);
         }
+        self.misses.fetch_add(1, Ordering::Relaxed);
         if self.shard_capacity != 0 && map.len() >= self.shard_capacity {
             // Arbitrary eviction: SMM workloads cycle over few shapes,
             // so anything resident beyond capacity is equally cold.
@@ -259,6 +263,7 @@ mod tests {
         assert_eq!(cache.len(), 1);
         let s = cache.stats(0);
         assert_eq!(s.plan_hits + s.plan_misses, 8);
+        assert_eq!(s.plan_misses, 1, "only the inserting lookup misses");
     }
 
     #[test]

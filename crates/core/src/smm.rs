@@ -10,7 +10,7 @@ use smm_gemm::pool::TaskPool;
 use smm_kernels::Scalar;
 use smm_tune::{PlanDb, PlanDbError};
 
-use crate::exec::execute_traced_ctx;
+use crate::exec::execute_with;
 use crate::plan::{PlanConfig, SmmPlan};
 use crate::runtime::{RuntimeStats, ShardedPlanCache, DEFAULT_PLAN_CAPACITY};
 use crate::telemetry::{CallSite, Phase, Telemetry, TelemetryReport, DEFAULT_RATE_WINDOW};
@@ -44,9 +44,8 @@ pub const DEFAULT_SLOW_TRACE_THRESHOLD: Duration = Duration::from_millis(10);
 /// smm.gemm(1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
 /// ```
 ///
-/// Construction goes through [`Smm::builder`]; [`Smm::new`],
-/// [`Smm::with_threads`] and [`Smm::with_config`] are thin wrappers
-/// over it.
+/// Construction goes through [`Smm::builder`]; [`Smm::new`] and
+/// `Default` are thin wrappers over it.
 pub struct Smm<S: Scalar> {
     cfg: PlanConfig,
     cache: ShardedPlanCache,
@@ -297,16 +296,6 @@ impl<S: Scalar> Smm<S> {
         Self::builder().build()
     }
 
-    /// SMM allowed to use up to `threads` threads.
-    pub fn with_threads(threads: usize) -> Self {
-        Self::builder().threads(threads).build()
-    }
-
-    /// Full configuration control.
-    pub fn with_config(cfg: PlanConfig) -> Self {
-        Self::builder().config(cfg).build()
-    }
-
     /// The active configuration.
     pub fn config(&self) -> &PlanConfig {
         &self.cfg
@@ -415,7 +404,8 @@ impl<S: Scalar> Smm<S> {
         let t0 = rec.now();
         let plan = self.plan(m, n, k);
         rec.span_since(Phase::PlanLookup, t0);
-        execute_traced_ctx(&self.pool, &plan, rec, &self.tracer, alpha, a, b, beta, c);
+        let split = Some((&self.pool, &self.tracer));
+        execute_with(split, &plan, rec, alpha, a, b, beta, c);
         if let Some(t0) = t0 {
             self.telemetry.record_call(
                 CallSite::Gemm,
@@ -505,7 +495,7 @@ mod tests {
 
     #[test]
     fn threaded_smm_is_correct() {
-        let smm = Smm::<f32>::with_threads(8);
+        let smm = Smm::<f32>::builder().threads(8).build();
         let a = Mat::<f32>::random(64, 32, 41);
         let b = Mat::<f32>::random(32, 96, 42);
         let mut c = Mat::<f32>::zeros(64, 96);
@@ -662,13 +652,17 @@ mod tests {
 
     #[test]
     fn legacy_constructors_are_builder_wrappers() {
-        let smm = Smm::<f32>::with_threads(0);
+        for smm in [Smm::<f32>::new(), Smm::default()] {
+            assert_eq!(smm.config().max_threads, 1);
+            assert_eq!(smm.config().pack_a, PlanConfig::default().pack_a);
+        }
+        let smm = Smm::<f32>::builder().threads(0).build();
         assert_eq!(smm.config().max_threads, 1, "threads clamp to 1");
         let cfg = PlanConfig {
             max_threads: 3,
             ..Default::default()
         };
-        let smm = Smm::<f32>::with_config(cfg);
+        let smm = Smm::<f32>::builder().config(cfg).build();
         assert_eq!(smm.config().max_threads, 3);
     }
 

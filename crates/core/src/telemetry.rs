@@ -139,9 +139,9 @@ impl Phase {
 pub enum CallSite {
     /// [`crate::Smm::gemm`] — single GEMM.
     Gemm,
-    /// [`crate::Smm::gemm_batch`] / `gemm_strided_batch`.
+    /// [`crate::Smm::gemm_batch`].
     GemmBatch,
-    /// Direct [`crate::execute`]-style invocations.
+    /// Direct [`crate::execute_in`]-style invocations.
     Direct,
     /// The `smm-serve` request dispatcher (queue wait, coalescing,
     /// batched dispatch, and reply — the service-boundary spans).

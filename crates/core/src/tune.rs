@@ -512,7 +512,8 @@ mod tests {
         let b = Mat::<f32>::random(9, 11, 2);
         let mut c = Mat::<f32>::zeros(15, 11);
         let mut c_ref = c.clone();
-        crate::exec::execute(&t.plan, 1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
+        let pool = smm_gemm::pool::TaskPool::global();
+        crate::exec::execute_in(pool, &t.plan, 1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
         gemm_naive(1.0, a.as_ref(), b.as_ref(), 0.0, c_ref.as_mut());
         assert!(c.max_abs_diff(&c_ref) < 1e-3);
     }
@@ -659,7 +660,8 @@ mod tests {
             let b = Mat::<f32>::random(k, n, 2);
             let mut c = Mat::<f32>::zeros(m, n);
             let mut c_ref = c.clone();
-            crate::exec::execute(&plan, 1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
+            let pool = smm_gemm::pool::TaskPool::global();
+            crate::exec::execute_in(pool, &plan, 1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
             gemm_naive(1.0, a.as_ref(), b.as_ref(), 0.0, c_ref.as_mut());
             assert!(c.max_abs_diff(&c_ref) < 1e-3, "{m}x{n}x{k}");
         }

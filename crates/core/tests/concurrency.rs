@@ -116,7 +116,7 @@ fn telemetry_is_consistent_under_parallel_load() {
 fn shared_threaded_instance_is_correct_under_contention() {
     // Multi-threaded plans → concurrent callers also contend on the
     // pool's injection queue.
-    let smm = Arc::new(Smm::<f32>::with_threads(4));
+    let smm = Arc::new(Smm::<f32>::builder().threads(4).build());
     hammer(Arc::clone(&smm), 8, 20);
     assert!(smm.cached_plans() <= SHAPES.len());
     // Threaded plans may record one compute span per pool task, so the

@@ -9,7 +9,7 @@
 //! different profiles.
 
 use smm_kernels::registry::{tile_dimension_into, LibraryProfile, TileSpan};
-use smm_kernels::{Kernel, Scalar};
+use smm_kernels::{BOperand, Kernel, Scalar};
 use smm_model::{derive_blocking, BlockingParams, CacheSizes};
 
 use crate::arena;
@@ -203,20 +203,21 @@ fn run_tile<S: Scalar>(
 ) {
     let exact = it.kernel == it.logical && jt.kernel == jt.logical;
     let ldc = c.ld();
+    let b_sl = BOperand::Packed(b_sl);
     if exact {
         let ptr = c.tile_ptr(ii + it.offset, jj + jt.offset, it.kernel, jt.kernel);
         // SAFETY: `tile_ptr` just asserted that (ii+it.offset,
         // jj+jt.offset) heads a `kernel x kernel` window inside `c`,
         // whose elements `&mut c` owns exclusively; the kernel writes
         // exactly that footprint with stride `ldc = c.ld()`.
-        unsafe { kernel.run_ptr(kc, alpha, a_sl, b_sl, ptr, ldc) };
+        unsafe { kernel.run_ptr(kc, alpha, a_sl, it.kernel, b_sl, ptr, ldc) };
     } else {
         // Padded tile (BLIS/BLASFEO): compute the full register tile
         // into scratch, then merge only the logical part into C.
         let need = it.kernel * jt.kernel;
         scratch.clear();
         scratch.resize(need, S::ZERO);
-        kernel.run(kc, alpha, a_sl, b_sl, scratch, it.kernel);
+        kernel.run(kc, alpha, a_sl, it.kernel, b_sl, scratch, it.kernel);
         for j in 0..jt.logical {
             for i in 0..it.logical {
                 let gi = ii + it.offset + i;

@@ -232,7 +232,15 @@ mod tests {
         pack_a(a.as_ref(), 0, 0, m, k, 8, &mut pa);
         pack_b(b.as_ref(), 0, 0, k, n, 8, &mut pb);
         let mut c = vec![0.0f32; m * n];
-        smm_kernels::Kernel::<f32>::for_shape(8, 8).run(k, 1.0, &pa, &pb, &mut c, m);
+        smm_kernels::Kernel::<f32>::for_shape(8, 8).run(
+            k,
+            1.0,
+            &pa,
+            8,
+            smm_kernels::BOperand::Packed(&pb),
+            &mut c,
+            m,
+        );
         for j in 0..n {
             for i in 0..m {
                 let mut want = 0.0;

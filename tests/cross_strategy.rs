@@ -82,7 +82,8 @@ fn reference_matches_naive_all_configs() {
         let b = Mat::<f32>::random(k, n, seed + 1);
         let mut c = Mat::<f32>::random(m, n, seed + 2);
         let mut c_ref = c.clone();
-        smm_core::execute(&plan, 1.0, a.as_ref(), b.as_ref(), 1.0, c.as_mut());
+        let pool = smm_gemm::TaskPool::global();
+        smm_core::execute_in(pool, &plan, 1.0, a.as_ref(), b.as_ref(), 1.0, c.as_mut());
         gemm_naive(1.0, a.as_ref(), b.as_ref(), 1.0, c_ref.as_mut());
         let d = c.max_abs_diff(&c_ref);
         assert!(
@@ -105,7 +106,7 @@ fn threads_do_not_change_results() {
         let a = Mat::<f32>::random(m, k, seed);
         let b = Mat::<f32>::random(k, n, seed + 1);
         let single = Smm::<f32>::new();
-        let multi = Smm::<f32>::with_threads(threads);
+        let multi = Smm::<f32>::builder().threads(threads).build();
         let mut c1 = Mat::<f32>::zeros(m, n);
         let mut c2 = Mat::<f32>::zeros(m, n);
         single.gemm(1.0, a.as_ref(), b.as_ref(), 0.0, c1.as_mut());

@@ -84,7 +84,7 @@ fn multithreaded_strategies_match_naive() {
                 let d = c.max_abs_diff(&c_ref);
                 assert!(d < 2e-2, "{} t{threads} {m}x{n}x{k}: diff {d}", s.name());
             }
-            let smm = Smm::<f32>::with_threads(threads);
+            let smm = Smm::<f32>::builder().threads(threads).build();
             let mut c = c0.clone();
             smm.gemm(1.0, a.as_ref(), b.as_ref(), 1.0, c.as_mut());
             assert!(
