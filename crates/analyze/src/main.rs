@@ -5,7 +5,7 @@
 //! ```text
 //! smm-analyze [--json] [--deny-warnings] [--only kernels|lint]
 //!             [--root PATH] [--kc N] [--min-chain-frac F]
-//!             [--isa neon128|sve256|sve512] [--self-check]
+//!             [--isa neon128|sve256|sve512|avx2|avx512] [--self-check]
 //! smm-analyze concurrency [--json] [--deny-warnings] [--root PATH]
 //!             [--model-check] [--bound N] [--self-check]
 //! ```
@@ -58,7 +58,7 @@ impl Default for Options {
 
 const USAGE: &str = "usage: smm-analyze [--json] [--deny-warnings] [--only kernels|lint] \
                      [--root PATH] [--kc N] [--min-chain-frac F] \
-                     [--isa neon128|sve256|sve512] [--self-check]\n\
+                     [--isa neon128|sve256|sve512|avx2|avx512] [--self-check]\n\
                      \x20      smm-analyze concurrency [--json] [--deny-warnings] [--root PATH] \
                      [--model-check] [--bound N] [--self-check]";
 
@@ -99,9 +99,12 @@ fn parse_args() -> Result<Options, String> {
                     .map_err(|e| format!("bad --min-chain-frac {v:?}: {e}"))?;
             }
             "--isa" => {
-                let v = args.next().ok_or("--isa expects neon128|sve256|sve512")?;
-                opts.cfg.isa = smm_model::VectorIsa::by_name(&v)
-                    .ok_or_else(|| format!("unknown ISA {v:?} (neon128|sve256|sve512)"))?;
+                let v = args
+                    .next()
+                    .ok_or("--isa expects neon128|sve256|sve512|avx2|avx512")?;
+                opts.cfg.isa = smm_model::VectorIsa::by_name(&v).ok_or_else(|| {
+                    format!("unknown ISA {v:?} (neon128|sve256|sve512|avx2|avx512)")
+                })?;
             }
             "--help" | "-h" => {
                 println!("{USAGE}");

@@ -364,13 +364,16 @@ pub fn verify_registry(registry: &EdgeRegistry<'_>, out: &mut Report) {
 }
 
 /// Reference register tiles per ISA for the width-parametric pass:
-/// the main tile each width would run, plus — on predicated ISAs —
-/// residue shapes that exercise the masked-edge path (a row count that
-/// is not a lane multiple).
+/// the main tiles each register file would run, plus — on predicated
+/// ISAs — residue shapes that exercise the masked-edge path (a row
+/// count that is not a lane multiple). AVX2's 16-register file admits
+/// only the NEON-sized tiles (Eq. 4 budget 14); its 12-row tile takes
+/// the unpredicated remainder path at 8 lanes.
 pub fn reference_shapes(isa: &VectorIsa) -> &'static [(usize, usize)] {
-    match isa.vlen_bits {
-        128 => &[(16, 4), (12, 4), (8, 12), (8, 8)],
-        256 => &[(16, 12), (16, 8), (8, 12), (11, 12), (13, 4)],
+    match (isa.vlen_bits, isa.num_vregs) {
+        (128, _) => &[(16, 4), (12, 4), (8, 12), (8, 8)],
+        (256, 16) => &[(16, 4), (12, 4), (8, 12), (8, 8)],
+        (256, _) => &[(16, 12), (16, 8), (8, 12), (11, 12), (13, 4)],
         _ => &[(32, 12), (32, 8), (16, 12), (23, 12), (9, 8)],
     }
 }

@@ -1,37 +1,45 @@
-//! Native micro-kernel throughput: the Table I register tiles plus the
-//! OpenBLAS edge shapes, on packed operands (kc = 64).
+//! Native micro-kernel throughput on packed operands (kc = 64): the
+//! Table I register tiles, the OpenBLAS edge shapes and the wide-ISA
+//! tiles, each on every implementation this host runs (the scalar
+//! loops, AVX2 and AVX-512), then static against dynamic dispatch of the
+//! scalar loops.
 
 use smm_bench::timing::Group;
-use smm_kernels::{BOperand, Kernel};
+use smm_kernels::{BOperand, Kernel, KernelImpl};
 
 fn bench_kernels() {
-    let mut group = Group::new("native_microkernels");
     let kc = 64usize;
-    for &(mr, nr) in &[
-        (16usize, 4usize),
-        (8, 8),
-        (8, 12),
-        (12, 4),
-        (4, 4),
-        (2, 4),
-        (1, 4),
-    ] {
-        let a: Vec<f32> = (0..mr * kc).map(|i| (i % 13) as f32 * 0.25).collect();
-        let b: Vec<f32> = (0..nr * kc).map(|i| (i % 7) as f32 * 0.5).collect();
-        let mut cbuf = vec![0.0f32; mr * nr];
-        let kernel = Kernel::<f32>::for_shape(mr, nr);
-        group.throughput((2 * mr * nr * kc) as u64);
-        group.bench(&format!("{mr}x{nr}"), || {
-            kernel.run(
-                kc,
-                1.0,
-                std::hint::black_box(&a),
-                mr,
-                BOperand::Packed(std::hint::black_box(&b)),
-                &mut cbuf,
-                mr,
-            );
-        });
+    for imp in KernelImpl::available() {
+        let mut group = Group::new(&format!("native_microkernels/{imp:?}"));
+        for &(mr, nr) in &[
+            (16usize, 4usize),
+            (8, 8),
+            (8, 12),
+            (12, 4),
+            (4, 4),
+            (2, 4),
+            (1, 4),
+            (16, 8),
+            (32, 8),
+            (32, 12),
+        ] {
+            let a: Vec<f32> = (0..mr * kc).map(|i| (i % 13) as f32 * 0.25).collect();
+            let b: Vec<f32> = (0..nr * kc).map(|i| (i % 7) as f32 * 0.5).collect();
+            let mut cbuf = vec![0.0f32; mr * nr];
+            let kernel = Kernel::<f32>::on(mr, nr, imp).expect("available on this host");
+            group.throughput((2 * mr * nr * kc) as u64);
+            group.bench(&format!("{mr}x{nr}"), || {
+                kernel.run(
+                    kc,
+                    1.0,
+                    std::hint::black_box(&a),
+                    mr,
+                    BOperand::Packed(std::hint::black_box(&b)),
+                    &mut cbuf,
+                    mr,
+                );
+            });
+        }
     }
 }
 
@@ -41,8 +49,9 @@ fn bench_static_vs_dynamic() {
     let a: Vec<f32> = (0..mr * kc).map(|i| i as f32 * 0.01).collect();
     let b: Vec<f32> = (0..nr * kc).map(|i| i as f32 * 0.02).collect();
     let mut cbuf = vec![0.0f32; mr * nr];
+    let unrolled = Kernel::<f32>::on(mr, nr, KernelImpl::Scalar).expect("scalar runs anywhere");
     for (name, k) in [
-        ("static_8x8", Kernel::<f32>::for_shape(mr, nr)),
+        ("static_8x8", unrolled),
         ("dynamic_8x8", Kernel::<f32>::fallback(mr, nr)),
     ] {
         group.bench(name, || {

@@ -6,9 +6,10 @@
 //!
 //! Usage: `trace_dump <openblas|blis|blasfeo|eigen|ref> <m> <n> <k> [limit] [isa]`
 //!
-//! The optional trailing `isa` (`neon128|sve256|sve512`, `ref` only)
-//! retargets the plan at another vector width; the active ISA is
-//! emitted in the JSON header so downstream tooling knows which
+//! The optional trailing `isa` (`neon128|sve256|sve512|avx2|avx512`,
+//! `ref` only; default `neon128`) retargets the plan at another vector
+//! width, for the simulated stream and the native run alike; the active
+//! ISA is emitted in the JSON header so downstream tooling knows which
 //! register geometry produced the stream.
 
 use smm_gemm::all_strategies;
@@ -69,8 +70,10 @@ fn main() {
     let isa = args
         .get(6)
         .map(|name| {
-            VectorIsa::by_name(name)
-                .unwrap_or_else(|| panic!("unknown ISA {name:?} (neon128|sve256|sve512)"))
+            VectorIsa::by_name(name).unwrap_or_else(|| {
+                let known = VectorIsa::all().map(|i| i.name).join("|");
+                panic!("unknown ISA {name:?} ({known})")
+            })
         })
         .unwrap_or_default();
 
@@ -101,7 +104,7 @@ fn main() {
 
     if which == "ref" {
         use smm_gemm::matrix::Mat;
-        let smm = smm_core::Smm::<f32>::new();
+        let smm = smm_core::Smm::<f32>::builder().isa(isa).build();
         let a = Mat::<f32>::random(m, k, 1);
         let b = Mat::<f32>::random(k, n, 2);
         let mut c = Mat::<f32>::zeros(m, n);

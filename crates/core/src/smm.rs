@@ -86,8 +86,22 @@ pub struct SmmBuilder<S: Scalar> {
 
 impl<S: Scalar> SmmBuilder<S> {
     fn new() -> Self {
+        // Runtime plans are sized for the register file that runs
+        // them: the host's, for element types with SIMD tiles. Other
+        // types run the scalar loops, which the NEON-sized plans suit
+        // (a 512-bit plan's 32-row tiles would take the dynamic scalar
+        // fallback). `PlanConfig::default()` stays the paper's NEON-128
+        // for the simulated paths (tuning, figures).
+        let isa = if S::SIMD_TILES {
+            smm_model::VectorIsa::host()
+        } else {
+            smm_model::VectorIsa::neon128()
+        };
         SmmBuilder {
-            cfg: PlanConfig::default(),
+            cfg: PlanConfig {
+                isa,
+                ..PlanConfig::default()
+            },
             cache_capacity: DEFAULT_PLAN_CAPACITY,
             telemetry: true,
             tracing: false,
@@ -140,9 +154,15 @@ impl<S: Scalar> SmmBuilder<S> {
         self
     }
 
-    /// Target vector ISA for plans (default NEON-128, the paper's
-    /// configuration). Widths with predication tile edges with one
-    /// masked remainder instead of the greedy kernel cascade.
+    /// Target vector ISA for plans. The default is the register file
+    /// that executes them: for `f32`,
+    /// [`VectorIsa::host`](smm_model::VectorIsa::host) — AVX-512 or
+    /// AVX2 on x86-64 hosts that have them, the paper's NEON-128
+    /// elsewhere; for `f64`, which runs the scalar loops, NEON-128.
+    /// Widths with predication tile edges with one masked remainder
+    /// instead of the greedy kernel cascade. The kernels themselves
+    /// always run on the host's own implementation; the ISA sizes the
+    /// tiles.
     pub fn isa(mut self, isa: smm_model::VectorIsa) -> Self {
         self.cfg.isa = isa;
         self
@@ -655,7 +675,11 @@ mod tests {
         for smm in [Smm::<f32>::new(), Smm::default()] {
             assert_eq!(smm.config().max_threads, 1);
             assert_eq!(smm.config().pack_a, PlanConfig::default().pack_a);
+            assert_eq!(smm.config().isa, smm_model::VectorIsa::host());
         }
+        // f64 runs the scalar loops and keeps the plans that suit them.
+        let f64_isa = Smm::<f64>::new().config().isa;
+        assert_eq!(f64_isa, smm_model::VectorIsa::neon128());
         let smm = Smm::<f32>::builder().threads(0).build();
         assert_eq!(smm.config().max_threads, 1, "threads clamp to 1");
         let cfg = PlanConfig {
@@ -681,6 +705,7 @@ mod tests {
     #[test]
     fn plan_db_answers_misses_and_reports_stats() {
         let smm = Smm::<f32>::builder()
+            .isa(smm_model::VectorIsa::neon128())
             .plan_db_handle(tiny_db(smm_model::VectorIsa::neon128()))
             .unwrap()
             .build();
@@ -711,6 +736,7 @@ mod tests {
     #[test]
     fn foreign_isa_handle_is_rejected() {
         let err = Smm::<f32>::builder()
+            .isa(smm_model::VectorIsa::neon128())
             .plan_db_handle(tiny_db(smm_model::VectorIsa::sve256()))
             .unwrap_err();
         assert_eq!(
@@ -731,7 +757,11 @@ mod tests {
             .save(&path)
             .unwrap();
         {
-            let smm = Smm::<f32>::builder().plan_db(&path).unwrap().build();
+            let smm = Smm::<f32>::builder()
+                .isa(smm_model::VectorIsa::neon128())
+                .plan_db(&path)
+                .unwrap()
+                .build();
             smm.plan(40, 40, 40); // far from the grid → online refine
             assert_eq!(smm.tuner_stats().pending_deltas, 1);
         } // drop flushes

@@ -1,24 +1,40 @@
 //! Per-ISA oracle parity and predication-coverage tests.
 //!
 //! The width-agnostic redesign must not change what GEMM computes:
-//! every [`VectorIsa`] config (NEON-128, SVE-256, SVE-512) is held to
-//! the naive triple-loop oracle over the edge shapes the paper calls
-//! out (unit dimensions, `k = 0`, `beta != 0`, gapped `ldc`, and
-//! residues straddling each width's f32 lane count), NEON-128 is held
-//! bit-for-bit to the default build, and the predicated tiling is
-//! proven to cover exactly the residues the dedicated edge-kernel
-//! cascade used to cover.
+//! every [`VectorIsa`] config (the simulated NEON-128, SVE-256 and
+//! SVE-512, and the AVX2 and AVX-512 host descriptors) is held to the
+//! naive oracle within the derived componentwise error bound
+//! ([`check_gemm_bound`]) over the edge shapes the paper calls out
+//! (unit dimensions, `k = 0`, `beta != 0`, gapped `ldc`, and residues
+//! straddling each width's f32 lane count), on operands whose products
+//! and sums round. The default build is held bit-for-bit to an explicit
+//! `.isa(VectorIsa::host())`, and the predicated tiling is proven to
+//! cover exactly the residues the dedicated edge-kernel cascade used to
+//! cover.
 //!
-//! One test honors `SMM_TEST_ISA` (`neon128|sve256|sve512`) so the CI
-//! matrix drives a full end-to-end pass at each width.
+//! One test honors `SMM_TEST_ISA` (any [`VectorIsa::by_name`] name:
+//! `neon128|sve256|sve512|avx2|avx512`) so the CI matrix drives a full
+//! end-to-end pass at each width.
 
 use smm_core::plan::{exact_tiles, exact_tiles_for};
 use smm_core::{Smm, VectorIsa};
-use smm_gemm::gemm_naive;
-use smm_gemm::matrix::{Mat, MatMut};
+use smm_gemm::check_gemm_bound;
+use smm_gemm::matrix::{Mat, MatMut, MatRef};
 
 fn smm_for(isa: VectorIsa) -> Smm<f32> {
     Smm::<f32>::builder().isa(isa).threads(1).build()
+}
+
+/// Operands in `[-2, 2)` with full mantissas, so products and partial
+/// sums round and a fused kernel differs from an unfused one.
+fn random(rows: usize, cols: usize, seed: u64) -> Mat<f32> {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    Mat::from_fn(rows, cols, |_, _| {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        (((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 4.0) as f32
+    })
 }
 
 /// Edge shapes: unit dims, `k = 0`, and residues around every ISA's
@@ -34,9 +50,21 @@ fn edge_shapes() -> Vec<(usize, usize, usize)> {
     shapes
 }
 
-fn assert_close(c: &Mat<f32>, c_ref: &Mat<f32>, ctx: &str) {
-    let diff = c.max_abs_diff(c_ref);
-    assert!(diff < 1e-3, "{ctx}: max |diff| = {diff}");
+/// One `smm.gemm` held to the oracle within the derived bound.
+fn gemm_checked(
+    smm: &Smm<f32>,
+    (m, n, k): (usize, usize, usize),
+    alpha: f32,
+    beta: f32,
+    ctx: &str,
+) {
+    let a = random(m, k, 11);
+    let b = random(k, n, 23);
+    let c0 = random(m, n, 37);
+    let mut c = c0.clone();
+    smm.gemm(alpha, a.as_ref(), b.as_ref(), beta, c.as_mut());
+    check_gemm_bound(alpha, a.as_ref(), b.as_ref(), beta, c0.as_ref(), c.as_ref())
+        .unwrap_or_else(|v| panic!("{ctx} {m}x{n}x{k}: {v}"));
 }
 
 /// Every ISA config matches the naive oracle over the edge-shape
@@ -45,14 +73,8 @@ fn assert_close(c: &Mat<f32>, c_ref: &Mat<f32>, ctx: &str) {
 fn edge_shapes_match_naive_on_every_isa() {
     for isa in VectorIsa::all() {
         let smm = smm_for(isa);
-        for (m, n, k) in edge_shapes() {
-            let a = Mat::<f32>::random(m, k, 11);
-            let b = Mat::<f32>::random(k, n, 23);
-            let mut c = Mat::<f32>::random(m, n, 37);
-            let mut c_ref = Mat::<f32>::from_fn(m, n, |i, j| c.as_ref().at(i, j));
-            smm.gemm(1.5, a.as_ref(), b.as_ref(), 0.5, c.as_mut());
-            gemm_naive(1.5, a.as_ref(), b.as_ref(), 0.5, c_ref.as_mut());
-            assert_close(&c, &c_ref, &format!("{isa} {m}x{n}x{k}"));
+        for shape in edge_shapes() {
+            gemm_checked(&smm, shape, 1.5, 0.5, &isa.to_string());
         }
     }
 }
@@ -63,13 +85,13 @@ fn edge_shapes_match_naive_on_every_isa() {
 #[test]
 fn gapped_ldc_matches_naive_on_every_isa() {
     let (m, n, k, ldc) = (13, 9, 17, 13 + 5);
-    let a = Mat::<f32>::random(m, k, 3);
-    let b = Mat::<f32>::random(k, n, 5);
+    let a = random(m, k, 3);
+    let b = random(k, n, 5);
     let sentinel = -1234.5_f32;
     for isa in VectorIsa::all() {
         let smm = smm_for(isa);
-        let mut buf = vec![sentinel; ldc * n];
-        let mut buf_ref = buf.clone();
+        let buf0 = vec![sentinel; ldc * n];
+        let mut buf = buf0.clone();
         smm.gemm(
             1.25,
             a.as_ref(),
@@ -77,42 +99,38 @@ fn gapped_ldc_matches_naive_on_every_isa() {
             2.0,
             MatMut::from_slice(&mut buf, m, n, ldc),
         );
-        gemm_naive(
+        check_gemm_bound(
             1.25,
             a.as_ref(),
             b.as_ref(),
             2.0,
-            MatMut::from_slice(&mut buf_ref, m, n, ldc),
-        );
+            MatRef::from_slice(&buf0, m, n, ldc),
+            MatRef::from_slice(&buf, m, n, ldc),
+        )
+        .unwrap_or_else(|v| panic!("{isa}: {v}"));
         for j in 0..n {
-            for i in 0..ldc {
-                let (got, want) = (buf[j * ldc + i], buf_ref[j * ldc + i]);
-                if i < m {
-                    assert!(
-                        (got - want).abs() < 1e-3,
-                        "{isa} c[{i},{j}]: {got} vs {want}"
-                    );
-                } else {
-                    assert_eq!(got, sentinel, "{isa} wrote into the ldc gap at [{i},{j}]");
-                }
+            for i in m..ldc {
+                let got = buf[j * ldc + i];
+                assert_eq!(got, sentinel, "{isa} wrote into the ldc gap at [{i},{j}]");
             }
         }
     }
 }
 
-/// NEON-128 through the builder is bit-for-bit the default build: the
-/// redesign introduced no behavioral drift at the seed width.
+/// The default build plans for the host's own register file: it is
+/// bit-for-bit an explicit `.isa(VectorIsa::host())`.
 #[test]
-fn neon128_is_bit_identical_to_the_default_build() {
+fn default_build_is_bit_identical_to_the_host_isa() {
     let default = Smm::<f32>::builder().threads(1).build();
-    let neon = smm_for(VectorIsa::neon128());
+    assert_eq!(default.config().isa, VectorIsa::host());
+    let host = smm_for(VectorIsa::host());
     for (m, n, k) in edge_shapes() {
-        let a = Mat::<f32>::random(m, k, 7);
-        let b = Mat::<f32>::random(k, n, 13);
-        let mut c0 = Mat::<f32>::random(m, n, 19);
-        let mut c1 = Mat::<f32>::from_fn(m, n, |i, j| c0.as_ref().at(i, j));
+        let a = random(m, k, 7);
+        let b = random(k, n, 13);
+        let mut c0 = random(m, n, 19);
+        let mut c1 = c0.clone();
         default.gemm(0.75, a.as_ref(), b.as_ref(), -0.5, c0.as_mut());
-        neon.gemm(0.75, a.as_ref(), b.as_ref(), -0.5, c1.as_mut());
+        host.gemm(0.75, a.as_ref(), b.as_ref(), -0.5, c1.as_mut());
         for (x, y) in c0.data().iter().zip(c1.data()) {
             assert_eq!(x.to_bits(), y.to_bits(), "{m}x{n}x{k}: {x} vs {y}");
         }
@@ -172,12 +190,5 @@ fn matrix_isa_from_env_runs_end_to_end() {
     let smm = smm_for(isa);
     let plan = smm.plan(75, 33, 64);
     assert_eq!(plan.isa, isa, "plan must carry the requested ISA");
-
-    let a = Mat::<f32>::random(75, 64, 2);
-    let b = Mat::<f32>::random(64, 33, 4);
-    let mut c = Mat::<f32>::zeros(75, 33);
-    let mut c_ref = Mat::<f32>::zeros(75, 33);
-    smm.gemm(1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
-    gemm_naive(1.0, a.as_ref(), b.as_ref(), 0.0, c_ref.as_mut());
-    assert_close(&c, &c_ref, &format!("{isa} 75x33x64"));
+    gemm_checked(&smm, (75, 33, 64), 1.0, 0.0, &isa.to_string());
 }

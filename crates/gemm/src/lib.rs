@@ -38,7 +38,7 @@ pub use eigen::EigenStrategy;
 pub use engine::GotoEngine;
 pub use flight::{EventKind, FlightRecorder, SpanEvent};
 pub use matrix::{Mat, MatMut, MatRef, PanelMatrix};
-pub use naive::gemm_naive;
+pub use naive::{check_gemm_bound, gemm_error_bound, gemm_naive, BoundViolation};
 pub use openblas::OpenBlasStrategy;
 pub use pool::TaskPool;
 pub use sim::{GemmLayout, MacroOp, ProgramSource, SimJob};

@@ -323,8 +323,12 @@ mod tests {
     /// In-place disjoint writes must be *bit-for-bit* identical to the
     /// old private-block + merge path. With one k block the old path
     /// computed `c + (0 + alpha·acc)` and the new computes
-    /// `c + alpha·acc` — identical, since IEEE `0.0 + x` preserves the
-    /// bits of every x the accumulator can produce.
+    /// `c + alpha·acc` — identical on the scalar loops, since IEEE
+    /// `0.0 + x` preserves the bits of every x the accumulator can
+    /// produce. A fused SIMD tile rounds `alpha·acc + c` once in place
+    /// but `alpha·acc` and the sum separately through the merge, so
+    /// there the paths agree when `alpha·acc` is exact, as it is on
+    /// these operands (multiples of 1/8 over a short k).
     #[test]
     fn in_place_is_bit_identical_to_merge_path() {
         let e = openblas_engine();

@@ -14,20 +14,94 @@
 //!   column-major storage gathered per element — profitable exactly
 //!   when the gather is cheaper than a packing pass.
 //!
-//! Shapes in [`STATIC_SHAPES`] are const-generic instantiations the
-//! compiler fully unrolls; any other shape up to [`MAX_TILE`] square
-//! runs on one dynamic fallback. Both accumulate every element in the
-//! same order, so the dispatch never changes a result.
+//! A tile runs on one of three implementations ([`KernelImpl`]), chosen
+//! once when the [`Kernel`] is made:
+//!
+//! * the scalar loops, multiplying and adding through
+//!   [`Scalar::madd`]. Shapes in [`STATIC_SHAPES`] are const-generic
+//!   instantiations the compiler fully unrolls; any other shape up to
+//!   [`MAX_TILE`] square runs on one dynamic fallback. Both accumulate
+//!   every element in the same order, so that dispatch never changes a
+//!   result. They are the fallback of every host and element type, and
+//!   the oracle the SIMD tiles are checked against;
+//! * the AVX2 and AVX-512 tiles of `crate::simd` (x86-64, `f32` only),
+//!   which fuse every multiply-add. [`Kernel::for_shape`] picks the
+//!   widest one the host runs, detected at run time.
+//!
+//! Each implementation is bit-identical to its matching reference:
+//! [`microkernel_reference`] for the scalar loops,
+//! [`microkernel_reference_fused`] for the SIMD tiles.
 
 use std::marker::PhantomData;
+use std::sync::OnceLock;
 
 use crate::direct::BOperand;
 use crate::scalar::Scalar;
 
-/// Largest tile edge. Wide-vector plans (SVE-512) choose tiles up to
-/// 32 rows; the fallback's stack accumulator is sized to admit them
-/// (32×32 f32 = 4 KiB).
+/// Largest tile edge. Wide-vector plans (SVE-512, AVX-512) choose
+/// tiles up to 32 rows; the fallback's stack accumulator is sized to
+/// admit them (32×32 f32 = 4 KiB).
 pub const MAX_TILE: usize = 32;
+
+/// The instruction set a [`Kernel`]'s loop nest runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum KernelImpl {
+    /// Portable scalar loops through [`Scalar::madd`]: every host and
+    /// element type.
+    Scalar,
+    /// x86-64 AVX2 + FMA, 8 `f32` lanes per register.
+    Avx2,
+    /// x86-64 AVX-512F, 16 `f32` lanes per register.
+    Avx512,
+}
+
+impl KernelImpl {
+    /// Every implementation, narrowest first.
+    pub const ALL: [KernelImpl; 3] = [KernelImpl::Scalar, KernelImpl::Avx2, KernelImpl::Avx512];
+
+    /// The widest implementation this host runs: the one named by
+    /// [`VectorIsa::host`](smm_model::VectorIsa::host), detected once
+    /// per process.
+    pub fn host() -> KernelImpl {
+        static HOST: OnceLock<KernelImpl> = OnceLock::new();
+        *HOST.get_or_init(|| {
+            let isa = smm_model::VectorIsa::host();
+            if isa == smm_model::VectorIsa::avx512() {
+                KernelImpl::Avx512
+            } else if isa == smm_model::VectorIsa::avx2() {
+                KernelImpl::Avx2
+            } else {
+                KernelImpl::Scalar
+            }
+        })
+    }
+
+    /// Can this host run the implementation? Detected at run time.
+    pub fn is_available(self) -> bool {
+        match self {
+            KernelImpl::Scalar => true,
+            #[cfg(all(target_arch = "x86_64", not(miri)))]
+            KernelImpl::Avx2 => {
+                std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma")
+            }
+            #[cfg(all(target_arch = "x86_64", not(miri)))]
+            KernelImpl::Avx512 => std::is_x86_feature_detected!("avx512f"),
+            #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+            _ => false,
+        }
+    }
+
+    /// The implementations this host runs, narrowest first.
+    pub fn available() -> Vec<KernelImpl> {
+        Self::ALL.into_iter().filter(|i| i.is_available()).collect()
+    }
+
+    /// Does the implementation fuse its multiply-adds (one rounding per
+    /// `acc + a·b` and per `c + alpha·acc`)?
+    pub(crate) fn fused(self) -> bool {
+        self != KernelImpl::Scalar
+    }
+}
 
 // Two loop nests, unrolled for a static `MR × NR` shape or bounded at
 // run time (the fallback). Both read `B(p, j)` as `b[p*b_row + j*b_col]`,
@@ -97,10 +171,7 @@ unsafe fn tile_dyn<S: Scalar>(
     c: *mut S,
     ldc: usize,
 ) {
-    assert!(
-        (1..=MAX_TILE).contains(&mr) && (1..=MAX_TILE).contains(&nr),
-        "dynamic tile {mr}x{nr} out of range"
-    );
+    check_shape(mr, nr);
     check_operands(mr, nr, kc, a, a_stride, b, (b_row, b_col), ldc);
     let mut acc = [[S::ZERO; MAX_TILE]; MAX_TILE];
     for p in 0..kc {
@@ -124,11 +195,21 @@ unsafe fn tile_dyn<S: Scalar>(
     }
 }
 
+/// The shape check of every kernel without a static shape: both edges
+/// in `1..=MAX_TILE`.
+#[inline(always)]
+pub(crate) fn check_shape(mr: usize, nr: usize) {
+    assert!(
+        (1..=MAX_TILE).contains(&mr) && (1..=MAX_TILE).contains(&nr),
+        "dynamic tile {mr}x{nr} out of range"
+    );
+}
+
 /// The operand checks every kernel makes: `A`, `B` and `C` cover the
 /// `mr × nr × kc` tile.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn check_operands<S>(
+pub(crate) fn check_operands<S>(
     mr: usize,
     nr: usize,
     kc: usize,
@@ -150,47 +231,73 @@ fn check_operands<S>(
     assert!(ldc >= mr, "ldc must cover the tile rows");
 }
 
-/// A runnable kernel: the unrolled instantiation when the shape is in
-/// [`STATIC_SHAPES`], otherwise the dynamic fallback.
+/// A runnable kernel: a SIMD tile on the host's widest FMA unit when
+/// the element type has one, otherwise the scalar loops — unrolled when
+/// the shape is in [`STATIC_SHAPES`], the dynamic fallback otherwise.
 #[derive(Clone, Copy)]
 pub struct Kernel<S: Scalar> {
     mr: usize,
     nr: usize,
-    /// Run the unrolled instantiation when the shape has one (false
-    /// only for [`Kernel::fallback`]).
+    imp: KernelImpl,
+    /// Run the unrolled scalar instantiation when the shape has one
+    /// (false only for [`Kernel::fallback`]).
     unrolled: bool,
     _elem: PhantomData<S>,
 }
 
 impl<S: Scalar> std::fmt::Debug for Kernel<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let kind = if self.is_static() {
-            "static"
-        } else {
-            "dynamic"
+        let kind = match self.imp {
+            KernelImpl::Scalar if self.is_static() => "static",
+            KernelImpl::Scalar => "dynamic",
+            KernelImpl::Avx2 => "avx2",
+            KernelImpl::Avx512 => "avx512",
         };
         write!(f, "Kernel({}x{}, {kind})", self.mr, self.nr)
     }
 }
 
 impl<S: Scalar> Kernel<S> {
-    /// Kernel for a shape; unrolled when the shape is static.
+    /// Kernel for a shape on the widest implementation this host runs
+    /// for `S` ([`KernelImpl::host`] when `S` has SIMD tiles, the
+    /// scalar loops otherwise), detected once per process.
     pub fn for_shape(mr: usize, nr: usize) -> Self {
+        let imp = if S::SIMD_TILES {
+            KernelImpl::host()
+        } else {
+            KernelImpl::Scalar
+        };
         Kernel {
             mr,
             nr,
+            imp,
             unrolled: true,
             _elem: PhantomData,
         }
     }
 
-    /// The dynamic fallback for a shape even when an unrolled kernel
-    /// exists — the baseline that static dispatch is measured and
-    /// checked against.
+    /// Kernel for a shape on an explicit implementation; `None` when
+    /// this host cannot run it or `S` has no tiles for it. Each
+    /// implementation is checked and benchmarked through this.
+    pub fn on(mr: usize, nr: usize, imp: KernelImpl) -> Option<Self> {
+        let runs = imp == KernelImpl::Scalar || (S::SIMD_TILES && imp.is_available());
+        runs.then_some(Kernel {
+            mr,
+            nr,
+            imp,
+            unrolled: true,
+            _elem: PhantomData,
+        })
+    }
+
+    /// The scalar dynamic fallback for a shape even when an unrolled
+    /// kernel exists — the baseline that static dispatch is measured
+    /// and checked against.
     pub fn fallback(mr: usize, nr: usize) -> Self {
         Kernel {
             mr,
             nr,
+            imp: KernelImpl::Scalar,
             unrolled: false,
             _elem: PhantomData,
         }
@@ -206,7 +313,21 @@ impl<S: Scalar> Kernel<S> {
         self.nr
     }
 
-    /// Is this a statically instantiated (compiler-unrolled) kernel?
+    /// The implementation the tile runs on.
+    pub fn implementation(&self) -> KernelImpl {
+        self.imp
+    }
+
+    /// Does the tile fuse its multiply-adds? Selects the matching
+    /// reference: [`microkernel_reference_fused`] when true,
+    /// [`microkernel_reference`] otherwise.
+    pub fn is_fused(&self) -> bool {
+        self.imp.fused()
+    }
+
+    /// Does the scalar implementation run this shape as a statically
+    /// instantiated (compiler-unrolled) kernel? The SIMD nests cover
+    /// every shape without a table, so this concerns the scalar loops.
     pub fn is_static(&self) -> bool {
         self.unrolled && STATIC_SHAPES.contains(&(self.mr, self.nr))
     }
@@ -240,8 +361,15 @@ impl<S: Scalar> Kernel<S> {
                 (b, (1, ldb))
             }
         };
-        // SAFETY: forwarding the caller's tile-footprint contract.
+        // SAFETY: forwarding the caller's tile-footprint contract; a
+        // SIMD `imp` was checked to run here when the kernel was made.
         unsafe {
+            if self.imp != KernelImpl::Scalar {
+                S::simd_tile(
+                    self.imp, mr, nr, kc, alpha, a, a_stride, b, b_strides, c, ldc,
+                );
+                return;
+            }
             let ran =
                 self.unrolled && run_unrolled(mr, nr, kc, alpha, a, a_stride, b, b_strides, c, ldc);
             if !ran {
@@ -345,12 +473,48 @@ static_shapes![
     (6, 4),
 ];
 
+/// Why [`KernelRegistry::lookup`] refused a shape.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KernelLookupError {
+    /// The accumulator tile breaks the registry ISA's Eq. 4 budget.
+    RegisterBudget(smm_model::RegisterBudgetError),
+    /// An edge exceeds [`MAX_TILE`]: no kernel runs the tile, however
+    /// few registers its accumulator needs (64×1 fits Eq. 4 at 512 bits).
+    TooLarge {
+        /// Requested tile rows.
+        mr: usize,
+        /// Requested tile columns.
+        nr: usize,
+        /// The largest edge a kernel runs ([`MAX_TILE`]).
+        max: usize,
+    },
+}
+
+impl std::fmt::Display for KernelLookupError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            KernelLookupError::RegisterBudget(e) => e.fmt(f),
+            KernelLookupError::TooLarge { mr, nr, max } => {
+                write!(f, "{mr}x{nr} exceeds the largest kernel tile, {max}x{max}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for KernelLookupError {}
+
+impl From<smm_model::RegisterBudgetError> for KernelLookupError {
+    fn from(e: smm_model::RegisterBudgetError) -> Self {
+        KernelLookupError::RegisterBudget(e)
+    }
+}
+
 /// A typed registry handle: one `KernelRef` per `(shape, isa)` lookup.
 ///
 /// Replaces the bare `(mr, nr)` tuple keys callers used to pass around
 /// alongside a loose `Option<fn>`: a `KernelRef` can only be obtained
 /// through [`KernelRegistry::lookup`], which has already proven the
-/// shape against the registry ISA's Eq. 4 budget.
+/// shape against [`MAX_TILE`] and the registry ISA's Eq. 4 budget.
 #[derive(Clone, Copy)]
 pub struct KernelRef<S: Scalar> {
     shape: smm_model::KernelShape,
@@ -397,10 +561,11 @@ impl<S: Scalar> KernelRef<S> {
 
 /// Kernel lookups keyed by `(shape, isa)`.
 ///
-/// The native kernels compute with host scalar arithmetic, so the ISA
-/// does not change *what* a kernel computes — it changes which shapes
-/// are legal (Eq. 4 counts accumulators in vector registers of the
-/// ISA's width) and how the shape is characterized by the model layer.
+/// A native kernel runs on the host's own implementation
+/// ([`Kernel::for_shape`]) whatever the registry's ISA, so the ISA does
+/// not change *what* a kernel computes — it changes which shapes are
+/// legal (Eq. 4 counts accumulators in vector registers of the ISA's
+/// width) and how the shape is characterized by the model layer.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct KernelRegistry {
     isa: smm_model::VectorIsa,
@@ -422,13 +587,21 @@ impl KernelRegistry {
         self.isa
     }
 
-    /// Look up a kernel for `mr × nr`, proving it against this
-    /// registry's Eq. 4 budget first.
+    /// Look up a kernel for `mr × nr`, proving first that a kernel runs
+    /// the shape (both edges at most [`MAX_TILE`]) and that it fits
+    /// this registry's Eq. 4 budget.
     pub fn lookup<S: Scalar>(
         &self,
         mr: usize,
         nr: usize,
-    ) -> Result<KernelRef<S>, smm_model::RegisterBudgetError> {
+    ) -> Result<KernelRef<S>, KernelLookupError> {
+        if mr > MAX_TILE || nr > MAX_TILE {
+            return Err(KernelLookupError::TooLarge {
+                mr,
+                nr,
+                max: MAX_TILE,
+            });
+        }
         self.isa
             .check_register_budget(mr, nr, std::mem::size_of::<S>())?;
         Ok(KernelRef {
@@ -449,9 +622,43 @@ impl KernelRegistry {
 }
 
 /// Reference implementation of the same contract, used to validate the
-/// unrolled kernels: plain triple loop over the packed slivers.
+/// scalar kernels: plain triple loop over the packed slivers, through
+/// [`Scalar::madd`].
 #[allow(clippy::too_many_arguments)]
 pub fn microkernel_reference<S: Scalar>(
+    mr: usize,
+    nr: usize,
+    kc: usize,
+    alpha: S,
+    a: &[S],
+    b: &[S],
+    c: &mut [S],
+    ldc: usize,
+) {
+    reference_with(S::madd, mr, nr, kc, alpha, a, b, c, ldc);
+}
+
+/// The fused twin of [`microkernel_reference`], used to validate the
+/// SIMD tiles: the same loop, through [`Scalar::fused_madd`].
+#[allow(clippy::too_many_arguments)]
+pub fn microkernel_reference_fused<S: Scalar>(
+    mr: usize,
+    nr: usize,
+    kc: usize,
+    alpha: S,
+    a: &[S],
+    b: &[S],
+    c: &mut [S],
+    ldc: usize,
+) {
+    reference_with(S::fused_madd, mr, nr, kc, alpha, a, b, c, ldc);
+}
+
+/// The reference triple loop with the multiply-add `madd(acc, x, y) =
+/// acc + x·y` as a parameter.
+#[allow(clippy::too_many_arguments)]
+fn reference_with<S: Scalar>(
+    madd: fn(S, S, S) -> S,
     mr: usize,
     nr: usize,
     kc: usize,
@@ -465,9 +672,9 @@ pub fn microkernel_reference<S: Scalar>(
         for i in 0..mr {
             let mut acc = S::ZERO;
             for p in 0..kc {
-                acc = acc.madd(a[p * mr + i], b[p * nr + j]);
+                acc = madd(acc, a[p * mr + i], b[p * nr + j]);
             }
-            c[j * ldc + i] = c[j * ldc + i].madd(alpha, acc);
+            c[j * ldc + i] = madd(c[j * ldc + i], alpha, acc);
         }
     }
 }
@@ -476,17 +683,41 @@ pub fn microkernel_reference<S: Scalar>(
 pub(crate) mod tests {
     use super::*;
 
-    fn fill<S: Scalar>(n: usize, seed: u64) -> Vec<S> {
-        // Small deterministic pseudo-random values (multiples of 1/4).
+    /// Deterministic pseudo-random values in `[-2, 2)` with full
+    /// 53-bit mantissas, rounded to `S`: their products and partial
+    /// sums round, so a fused kernel and an unfused one disagree (see
+    /// `fill_rounds_so_fused_and_unfused_differ`). Never `-0.0`, so a
+    /// `kc = 0` call must leave every bit of `C` alone.
+    pub(crate) fn fill<S: Scalar>(n: usize, seed: u64) -> Vec<S> {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
         (0..n)
             .map(|_| {
                 state ^= state >> 12;
                 state ^= state << 25;
                 state ^= state >> 27;
-                S::from_f64(((state >> 33) as i64 % 17 - 8) as f64 * 0.25)
+                let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
+                S::from_f64((unit - 0.5) * 4.0)
             })
             .collect()
+    }
+
+    /// The reference with the kernel's own multiply-add.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn reference_for<S: Scalar>(
+        kernel: &Kernel<S>,
+        kc: usize,
+        alpha: S,
+        a: &[S],
+        b: &[S],
+        c: &mut [S],
+        ldc: usize,
+    ) {
+        let (mr, nr) = (kernel.mr(), kernel.nr());
+        if kernel.is_fused() {
+            microkernel_reference_fused(mr, nr, kc, alpha, a, b, c, ldc);
+        } else {
+            microkernel_reference(mr, nr, kc, alpha, a, b, c, ldc);
+        }
     }
 
     fn assert_bits_eq<S: Scalar>(got: &[S], want: &[S], ctx: &str) {
@@ -500,7 +731,8 @@ pub(crate) mod tests {
     }
 
     /// One kernel call with `A` at stride `mr + a_pad`, `B` packed or
-    /// column-major and a gapped `ldc`, against the packed reference.
+    /// column-major and a gapped `ldc`, against the packed reference
+    /// with the kernel's own multiply-add.
     pub(crate) fn check_case<S: Scalar>(
         kernel: Kernel<S>,
         kc: usize,
@@ -528,7 +760,7 @@ pub(crate) mod tests {
         let mut c = c0.clone();
         kernel.run(kc, alpha, &a, a_stride, b_op, &mut c, ldc);
         let mut want = c0.clone();
-        microkernel_reference(mr, nr, kc, alpha, &a_packed, &b_packed, &mut want, ldc);
+        reference_for(&kernel, kc, alpha, &a_packed, &b_packed, &mut want, ldc);
         let ctx = format!("{kernel:?} kc={kc} a_pad={a_pad} col_major_b={col_major_b}");
         assert_bits_eq(&c, &want, &ctx);
         if kc == 0 {
@@ -536,24 +768,22 @@ pub(crate) mod tests {
         }
     }
 
-    /// The kernel contract, table-driven: every shape up to
-    /// `MAX_TILE` square (static shapes unrolled, the rest on the
-    /// fallback), both `B` layouts, packed and strided `A`, `kc = 0`,
-    /// f32 and f64 — each output bit-identical to the reference.
+    /// The kernel contract, table-driven, on every implementation this
+    /// host runs (scalar, AVX2, AVX-512): every shape up to `MAX_TILE`
+    /// square (scalar: static shapes unrolled, the rest on the
+    /// fallback), both `B` layouts, packed and strided `A`, `kc` 0, 5
+    /// and 37, f32 and f64 — each output bit-identical to the
+    /// reference with the implementation's multiply-add.
     #[test]
     fn every_shape_layout_and_stride_matches_reference() {
-        fn sweep<S: Scalar>() {
+        fn sweep<S: Scalar>(imp: KernelImpl) {
             let alphas = [1.0, -2.5, 0.5, 2.0];
             let mut seed = 1u64;
             for mr in 1..=MAX_TILE {
                 for nr in 1..=MAX_TILE {
-                    let kernel = Kernel::<S>::for_shape(mr, nr);
-                    let kcs: &[usize] = if kernel.is_static() {
-                        &[0, 5, 37]
-                    } else {
-                        &[0, 5]
-                    };
-                    for &kc in kcs {
+                    let kernel = Kernel::<S>::on(mr, nr, imp).expect("available");
+                    assert_eq!(kernel.implementation(), imp);
+                    for kc in [0, 5, 37] {
                         for a_pad in [0, 5] {
                             for col_major_b in [false, true] {
                                 let alpha = S::from_f64(alphas[seed as usize % alphas.len()]);
@@ -565,31 +795,107 @@ pub(crate) mod tests {
                 }
             }
         }
-        sweep::<f32>();
-        sweep::<f64>();
+        for imp in KernelImpl::available() {
+            sweep::<f32>(imp);
+        }
+        sweep::<f64>(KernelImpl::Scalar);
     }
 
-    /// Every shape a registry accepts runs: the fallback covers the
-    /// widest tiles any shipped ISA admits.
+    /// The contract test's operands tell a fused kernel from an
+    /// unfused one: with exactly representable products and sums (the
+    /// multiples of 1/4 drawn before) the two references agree bit for
+    /// bit, and a SIMD tile would pass the unfused check unnoticed.
+    #[test]
+    fn fill_rounds_so_fused_and_unfused_differ() {
+        let (mr, nr, kc) = (16, 16, 37);
+        let a = fill::<f32>(mr * kc, 1);
+        let b = fill::<f32>(kc * nr, 2);
+        let c0 = fill::<f32>(mr * nr, 3);
+        let (mut plain, mut fused) = (c0.clone(), c0);
+        microkernel_reference(mr, nr, kc, 1.5, &a, &b, &mut plain, mr);
+        microkernel_reference_fused(mr, nr, kc, 1.5, &a, &b, &mut fused, mr);
+        let differ = plain.iter().zip(&fused).filter(|(x, y)| x != y).count();
+        assert!(differ > mr * nr / 4, "only {differ} elements differ");
+    }
+
+    /// The SIMD implementations exist exactly where the host has them,
+    /// and `for_shape` picks the widest for f32, the scalar loops for
+    /// f64.
+    #[test]
+    fn implementations_follow_the_host() {
+        let host = KernelImpl::host();
+        assert!(host.is_available());
+        let avail = KernelImpl::available();
+        assert_eq!(avail[0], KernelImpl::Scalar);
+        assert_eq!(avail.last(), Some(&host));
+        let isa = smm_model::VectorIsa::host();
+        let want = match isa.name {
+            "avx512" => KernelImpl::Avx512,
+            "avx2" => KernelImpl::Avx2,
+            _ => KernelImpl::Scalar,
+        };
+        assert_eq!(host, want, "{isa}");
+        assert_eq!(Kernel::<f32>::for_shape(8, 8).implementation(), host);
+        assert!(!Kernel::<f64>::for_shape(8, 8).is_fused());
+        for imp in KernelImpl::ALL {
+            assert_eq!(Kernel::<f32>::on(4, 4, imp).is_some(), imp.is_available());
+            let f64_runs = Kernel::<f64>::on(4, 4, imp).is_some();
+            assert_eq!(f64_runs, imp == KernelImpl::Scalar);
+        }
+    }
+
+    /// Every shape a registry accepts runs and matches the reference;
+    /// every shape it refuses gets the typed error naming why — a tile
+    /// past `MAX_TILE` is too large even where Eq. 4 admits it (64×1
+    /// and 48×10 at 512 bits).
     #[test]
     fn every_accepted_lookup_runs_on_every_isa() {
+        const EDGE: usize = 4 * MAX_TILE;
         for isa in smm_model::VectorIsa::all() {
             let reg = KernelRegistry::for_isa(isa);
-            for mr in 1..=MAX_TILE {
-                for nr in 1..=MAX_TILE {
-                    let Ok(k) = reg.lookup::<f32>(mr, nr) else {
-                        continue;
+            let mut accepted = 0;
+            for mr in 1..=EDGE {
+                for nr in 1..=EDGE {
+                    let k = match reg.lookup::<f32>(mr, nr) {
+                        Ok(k) => k,
+                        Err(KernelLookupError::TooLarge { max, .. }) => {
+                            assert!(mr.max(nr) > max, "{mr}x{nr} on {isa}");
+                            assert_eq!(max, MAX_TILE);
+                            continue;
+                        }
+                        Err(KernelLookupError::RegisterBudget(e)) => {
+                            assert!(mr.max(nr) <= MAX_TILE, "{mr}x{nr} on {isa}");
+                            assert!(e.accumulators > e.limit, "{mr}x{nr} on {isa}");
+                            assert!(isa.check_register_budget(mr, nr, 4).is_err());
+                            continue;
+                        }
                     };
+                    accepted += 1;
                     let kc = 3;
                     let a = fill::<f32>(mr * kc, 1);
                     let b = fill::<f32>(kc * nr, 2);
                     let mut c = fill::<f32>(mr * nr, 3);
                     let mut want = c.clone();
                     k.run(kc, 1.5, &a, &b, &mut c, mr);
-                    microkernel_reference(mr, nr, kc, 1.5, &a, &b, &mut want, mr);
+                    reference_for(&k.kernel(), kc, 1.5, &a, &b, &mut want, mr);
                     assert_bits_eq(&c, &want, &format!("{k:?}"));
                 }
             }
+            assert!(accepted > 0, "{isa} accepts nothing");
+        }
+        let wide = KernelRegistry::for_isa(smm_model::VectorIsa::avx512());
+        for (mr, nr) in [(64, 1), (48, 10)] {
+            assert!(smm_model::VectorIsa::avx512()
+                .check_register_budget(mr, nr, 4)
+                .is_ok());
+            assert_eq!(
+                wide.lookup::<f32>(mr, nr).unwrap_err(),
+                KernelLookupError::TooLarge {
+                    mr,
+                    nr,
+                    max: MAX_TILE
+                }
+            );
         }
     }
 
@@ -676,8 +982,18 @@ pub(crate) mod tests {
         let mut c = fill(8 * 8, 3);
         let mut c_ref = c.clone();
         k.run(4, 1.0, &a, &b, &mut c, 8);
-        microkernel_reference(8, 8, 4, 1.0, &a, &b, &mut c_ref, 8);
+        reference_for(&k.kernel(), 4, 1.0, &a, &b, &mut c_ref, 8);
         assert_eq!(c, c_ref);
+    }
+
+    #[test]
+    fn lookup_errors_display_their_cause() {
+        let reg = KernelRegistry::new();
+        let e = reg.lookup::<f32>(16, 8).unwrap_err();
+        assert!(matches!(e, KernelLookupError::RegisterBudget(_)));
+        assert!(e.to_string().contains("Eq. 4"), "{e}");
+        let e = reg.lookup::<f32>(33, 1).unwrap_err();
+        assert_eq!(e.to_string(), "33x1 exceeds the largest kernel tile, 32x32");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use smm_kernels::descriptor::{BLoadStyle, MicroKernelDesc, SchedulePolicy};
 use smm_kernels::direct::BOperand;
-use smm_kernels::native::{microkernel_reference, Kernel};
+use smm_kernels::native::{microkernel_reference, Kernel, KernelImpl};
 use smm_kernels::registry::{decompose_greedy, tile_dimension, EdgeStrategy};
 use smm_kernels::trace_gen::{kernel_trace, KernelTraceParams};
 use smm_simarch::isa::Op;
@@ -168,7 +168,8 @@ fn trace_fma_counts() {
     }
 }
 
-/// Static dispatch and dynamic fallback agree on every registered shape.
+/// Static dispatch and dynamic fallback of the scalar loops agree on
+/// every registered shape.
 #[test]
 fn static_and_dynamic_agree_everywhere() {
     for &(mr, nr) in smm_kernels::native::STATIC_SHAPES {
@@ -177,7 +178,9 @@ fn static_and_dynamic_agree_everywhere() {
         let b = data(nr * kc, 4);
         let mut c1 = vec![0.5f32; mr * nr];
         let mut c2 = c1.clone();
-        Kernel::<f32>::for_shape(mr, nr).run(kc, 1.0, &a, mr, BOperand::Packed(&b), &mut c1, mr);
+        let unrolled = Kernel::<f32>::on(mr, nr, KernelImpl::Scalar).expect("scalar runs anywhere");
+        assert!(unrolled.is_static(), "{mr}x{nr}");
+        unrolled.run(kc, 1.0, &a, mr, BOperand::Packed(&b), &mut c1, mr);
         Kernel::<f32>::fallback(mr, nr).run(kc, 1.0, &a, mr, BOperand::Packed(&b), &mut c2, mr);
         assert_eq!(c1, c2, "{mr}x{nr}");
     }

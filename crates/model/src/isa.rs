@@ -9,17 +9,26 @@
 //! kernel-descriptor construction, trace generation, the cycle simulator
 //! and the static verifier. One kernel codebase, N vector widths.
 //!
-//! Three configurations ship:
+//! Five configurations ship. Three are the paper's simulated axis:
 //!
 //! * [`VectorIsa::neon128`] — the paper's NEON target, bit-for-bit the
-//!   pre-refactor behavior (the default everywhere).
+//!   pre-refactor behavior (the default of every simulated path).
 //! * [`VectorIsa::sve256`] / [`VectorIsa::sve512`] — SVE-style wider
 //!   configs with predication: residual rows are handled by a predicated
 //!   vector lane mask (`whilelt`-style) instead of dedicated scalar edge
 //!   kernels, collapsing the Fig. 7 edge pathology.
 //!
-//! All three keep 32 architectural vector registers — true of both NEON
-//! and SVE — so Eq. 4 varies only through the lane count.
+//! These three keep 32 architectural vector registers — true of both
+//! NEON and SVE — so among them Eq. 4 varies only through the lane
+//! count. Two more describe x86-64 hosts, so that runtime plans can be
+//! sized for the register file that actually executes them:
+//!
+//! * [`VectorIsa::avx2`] — 16 × 256-bit registers, no predication;
+//! * [`VectorIsa::avx512`] — 32 × 512-bit registers, predicated through
+//!   the opmask registers: the geometry of `sve512`.
+//!
+//! [`VectorIsa::host`] names the descriptor of the machine running the
+//! process.
 
 /// A vector instruction-set configuration.
 ///
@@ -27,8 +36,8 @@
 /// descriptors and reports without lifetime plumbing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VectorIsa {
-    /// Short identifier (`"neon128"`, `"sve256"`, `"sve512"`), used in
-    /// CLI flags, JSON headers and report labels.
+    /// Short identifier (`"neon128"`, `"sve256"`, `"sve512"`, `"avx2"`,
+    /// `"avx512"`), used in CLI flags, JSON headers and report labels.
     pub name: &'static str,
     /// Vector register length in bits.
     pub vlen_bits: usize,
@@ -82,9 +91,61 @@ impl VectorIsa {
         }
     }
 
-    /// Every shipped configuration, narrowest first.
-    pub const fn all() -> [VectorIsa; 3] {
-        [Self::neon128(), Self::sve256(), Self::sve512()]
+    /// x86-64 AVX2 with FMA: 16 × 256-bit `ymm` registers and no
+    /// predication, so residual rows take the greedy edge cascade.
+    pub const fn avx2() -> Self {
+        VectorIsa {
+            name: "avx2",
+            vlen_bits: 256,
+            num_vregs: 16,
+            spare_vregs: 2,
+            fma_latency: 4,
+            predication: false,
+        }
+    }
+
+    /// x86-64 AVX-512F: 32 × 512-bit `zmm` registers, predicated through
+    /// the opmask registers — the geometry of [`VectorIsa::sve512`].
+    pub const fn avx512() -> Self {
+        VectorIsa {
+            name: "avx512",
+            vlen_bits: 512,
+            num_vregs: 32,
+            spare_vregs: 2,
+            fma_latency: 4,
+            predication: true,
+        }
+    }
+
+    /// Every shipped configuration: the simulated axis narrowest first,
+    /// then the host descriptors (the order of their tags).
+    pub const fn all() -> [VectorIsa; 5] {
+        [
+            Self::neon128(),
+            Self::sve256(),
+            Self::sve512(),
+            Self::avx2(),
+            Self::avx512(),
+        ]
+    }
+
+    /// The descriptor of the machine running this process, detected at
+    /// run time: [`avx512`](Self::avx512) when AVX-512F is present,
+    /// [`avx2`](Self::avx2) when AVX2 and FMA are, and
+    /// [`neon128`](Self::neon128) — the paper's target and the
+    /// simulated default — everywhere else (aarch64, SSE2-only x86-64,
+    /// interpreters such as Miri).
+    pub fn host() -> Self {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        {
+            if std::is_x86_feature_detected!("avx512f") {
+                return Self::avx512();
+            }
+            if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma") {
+                return Self::avx2();
+            }
+        }
+        Self::neon128()
     }
 
     /// Look a configuration up by its [`name`](Self::name).
@@ -101,6 +162,8 @@ impl VectorIsa {
             "neon128" => 1,
             "sve256" => 2,
             "sve512" => 3,
+            "avx2" => 4,
+            "avx512" => 5,
             _ => unreachable!("unregistered VectorIsa name {}", self.name),
         }
     }
@@ -112,6 +175,8 @@ impl VectorIsa {
             1 => Some(Self::neon128()),
             2 => Some(Self::sve256()),
             3 => Some(Self::sve512()),
+            4 => Some(Self::avx2()),
+            5 => Some(Self::avx512()),
             _ => None,
         }
     }
@@ -213,7 +278,59 @@ mod tests {
         for isa in VectorIsa::all() {
             assert_eq!(VectorIsa::by_name(isa.name), Some(isa));
         }
-        assert_eq!(VectorIsa::by_name("avx512"), None);
+        assert_eq!(VectorIsa::by_name("sse2"), None);
+    }
+
+    /// Each descriptor's register file, one row per shipped ISA: the
+    /// simulated axis keeps NEON/SVE's 32 registers, the x86-64 hosts
+    /// their own files (AVX2's 16 `ymm`, AVX-512's 32 `zmm`).
+    #[test]
+    fn register_file_per_descriptor() {
+        let rows = [
+            (VectorIsa::neon128(), 128, 32, 5, false),
+            (VectorIsa::sve256(), 256, 32, 5, true),
+            (VectorIsa::sve512(), 512, 32, 5, true),
+            (VectorIsa::avx2(), 256, 16, 4, false),
+            (VectorIsa::avx512(), 512, 32, 4, true),
+        ];
+        assert_eq!(rows.len(), VectorIsa::all().len());
+        for (isa, vlen, vregs, latency, predicated) in rows {
+            let got = (
+                isa.vlen_bits,
+                isa.num_vregs,
+                isa.fma_latency,
+                isa.predication,
+            );
+            assert_eq!(got, (vlen, vregs, latency, predicated), "{isa}");
+            assert_eq!(isa.spare_vregs, 2, "{isa}");
+            assert_eq!(isa.accumulator_budget(), vregs - 2, "{isa}");
+        }
+        // AVX-512 has exactly the geometry of the simulated SVE-512.
+        let (x, s) = (VectorIsa::avx512(), VectorIsa::sve512());
+        assert_eq!(
+            (x.vlen_bits, x.num_vregs, x.spare_vregs, x.predication),
+            (s.vlen_bits, s.num_vregs, s.spare_vregs, s.predication)
+        );
+    }
+
+    /// The host descriptor is one of the shipped configurations, and on
+    /// x86-64 it is the widest FMA unit the CPU reports.
+    #[test]
+    fn host_is_a_shipped_descriptor() {
+        let host = VectorIsa::host();
+        assert!(VectorIsa::all().contains(&host), "{host}");
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        {
+            let want = if std::is_x86_feature_detected!("avx512f") {
+                VectorIsa::avx512()
+            } else if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma")
+            {
+                VectorIsa::avx2()
+            } else {
+                VectorIsa::neon128()
+            };
+            assert_eq!(host, want);
+        }
     }
 
     #[test]
@@ -228,6 +345,8 @@ mod tests {
         assert_eq!(VectorIsa::neon128().tag(), 1);
         assert_eq!(VectorIsa::sve256().tag(), 2);
         assert_eq!(VectorIsa::sve512().tag(), 3);
+        assert_eq!(VectorIsa::avx2().tag(), 4);
+        assert_eq!(VectorIsa::avx512().tag(), 5);
     }
 
     #[test]
@@ -267,6 +386,8 @@ mod tests {
         assert!(VectorIsa::sve256().predication);
         assert!(VectorIsa::sve512().predication);
         assert!(!VectorIsa::neon128().predication);
+        assert!(VectorIsa::avx512().predication);
+        assert!(!VectorIsa::avx2().predication);
     }
 
     #[test]

@@ -108,6 +108,7 @@ fn prewarm_builds_hot_plans_before_first_request() {
     let smm = Arc::new(
         Smm::<f32>::builder()
             .threads(2)
+            .isa(VectorIsa::neon128())
             .plan_db_handle(db)
             .unwrap()
             .build(),

@@ -74,6 +74,7 @@ fn main() {
     // ---- Runtime stage: a fresh process would start exactly here.
     let smm = Smm::<f32>::builder()
         .telemetry(true)
+        .isa(cfg.isa)
         .plan_db(&path)
         .expect("database swept for this ISA loads cleanly")
         .build();
@@ -126,6 +127,7 @@ fn main() {
     assert!(reloaded.get(160, 160, 160).unwrap().refined);
     let next = Smm::<f32>::builder()
         .telemetry(true)
+        .isa(cfg.isa)
         .plan_db(&path)
         .unwrap()
         .build();
