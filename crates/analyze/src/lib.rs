@@ -15,7 +15,9 @@
 //! * **Lint front** ([`lint`]) — a hand-rolled scanner holding the
 //!   workspace's concurrency/timing conventions: `SAFETY:` comments on
 //!   `unsafe`, ordering rationales on atomics, `thread::spawn` fenced
-//!   to the pool, `Instant::now` fenced to telemetry/bench code.
+//!   to the pool, `Instant::now` fenced to telemetry/bench code,
+//!   `extern` foreign functions fenced to the serving layer's `poll(2)`
+//!   wrapper.
 //!
 //! * **Concurrency front** ([`ordering`], the `concurrency`
 //!   subcommand) — a cross-file atomic-ordering dataflow pass over

@@ -16,12 +16,12 @@
 //! * `LINT-E103` (`thread-spawn`) — `thread::spawn` / `thread::Builder`
 //!   only in the worker pool (`crates/gemm/src/pool.rs`) and the
 //!   serving layer's long-lived service threads
-//!   (`crates/serve/src/server.rs` dispatcher,
-//!   `crates/serve/src/tcp.rs` acceptor + per-connection handlers);
+//!   (`crates/serve/src/server.rs` dispatchers,
+//!   `crates/serve/src/tcp.rs` acceptor + fixed reader pool);
 //!   everything else must go through the pool so §III-D's
 //!   spawn-per-call overhead cannot creep back. The serve entries are
-//!   deliberate: those threads live for the server's lifetime (or a
-//!   connection's), never per GEMM call.
+//!   deliberate: those threads live for the server's lifetime, never
+//!   per GEMM call or per connection.
 //! * `LINT-E104` (`instant-now`) — `Instant::now` only in telemetry
 //!   (`crates/core/src/telemetry.rs`), the serving layer's single
 //!   clock shim (`crates/serve/src/clock.rs`, where wall time is
@@ -29,6 +29,10 @@
 //!   bench/example code, so the untimed hot path provably never reads
 //!   the clock.
 //! * `LINT-W105` — a malformed or unused waiver.
+//! * `LINT-E107` (`foreign-fn`) — `extern` blocks and functions (any
+//!   ABI; `extern crate` is not one) only in the serving layer's
+//!   `poll(2)` wrapper (`crates/serve/src/poll.rs`), so the workspace's
+//!   foreign-function surface stays one audited file.
 //! * `LINT-E106` (`vector-width-literal`) — hardcoded vector-width
 //!   assumptions: references to the retired NEON-128 constants
 //!   (`F32_LANES`, `TOTAL_VREGS`, `SPARE_VREGS`), or a width-parametric
@@ -468,6 +472,19 @@ fn path_allows_clock(rel: &str) -> bool {
         || rel.contains("/examples/")
 }
 
+fn path_allows_foreign_fn(rel: &str) -> bool {
+    // serve/poll.rs wraps `poll(2)` for the TCP readers: the only
+    // foreign function the workspace declares.
+    rel.ends_with("crates/serve/src/poll.rs")
+}
+
+/// Does this line declare or define a foreign function (`extern "C"
+/// {`, `extern fn`, ...)? String contents are already stripped, so
+/// the ABI literal reads `""`.
+fn declares_foreign_fn(code: &str) -> bool {
+    has_word(code, "extern") && !code.contains("extern crate")
+}
+
 fn path_is_test(rel: &str) -> bool {
     rel.starts_with("tests/") || rel.contains("/tests/")
 }
@@ -545,6 +562,21 @@ pub fn lint_source(rel: &str, source: &str) -> Report {
                     rel,
                     "`Instant::now` outside telemetry/bench code — use \
                      `telemetry::now_if`/`Recorder::now` so untimed paths never read the clock",
+                )
+                .at(loc()),
+            );
+        }
+
+        if declares_foreign_fn(code)
+            && !path_allows_foreign_fn(rel)
+            && !waived(&mut waivers, "foreign-fn", i)
+        {
+            report.push(
+                Finding::error(
+                    "LINT-E107",
+                    rel,
+                    "foreign function (`extern`) outside `crates/serve/src/poll.rs` — keep \
+                     the FFI surface in the one audited `poll(2)` wrapper",
                 )
                 .at(loc()),
             );
@@ -726,6 +758,25 @@ mod tests {
              fn f() { let t = Instant::now(); }",
         )
         .has_code("LINT-E104"));
+    }
+
+    #[test]
+    fn foreign_functions_are_fenced_to_the_poll_wrapper() {
+        let block =
+            "extern \"C\" {\n    fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;\n}";
+        assert!(lint_source("crates/serve/src/tcp.rs", block).has_code("LINT-E107"));
+        assert!(lint_source("crates/core/src/exec.rs", block).has_code("LINT-E107"));
+        assert!(!lint_source("crates/serve/src/poll.rs", block).has_code("LINT-E107"));
+        // Any ABI, and exported definitions too.
+        let export = "pub extern \"system\" fn cb() {}";
+        assert!(lint_source("crates/x/src/a.rs", export).has_code("LINT-E107"));
+        // `extern crate` links a crate; it declares no foreign function.
+        assert!(!lint_source("crates/x/src/a.rs", "extern crate alloc;").has_code("LINT-E107"));
+        // Mentions in strings and comments are not code.
+        let prose = "// extern \"C\" lives in poll.rs\nlet s = \"extern \\\"C\\\"\";";
+        assert!(!lint_source("crates/x/src/a.rs", prose).has_code("LINT-E107"));
+        let waived = "// lint:allow(foreign-fn) -- vendored shim\nextern \"C\" { fn f(); }";
+        assert!(!lint_source("crates/x/src/a.rs", waived).has_code("LINT-E107"));
     }
 
     #[test]

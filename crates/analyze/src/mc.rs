@@ -13,17 +13,20 @@
 //!   seqlock, `gemm::pool`'s park/shutdown drain, `gemm::arena`'s
 //!   counters, `core::runtime`'s double-checked plan cache,
 //!   `tune::delta`'s refinement-delta buffer, `serve::steal`'s
-//!   sharded-queue work stealing) against the shims and assert their
-//!   invariants across all schedules. These must pass exhaustively.
+//!   sharded-queue work stealing, `serve::doorbell`'s reader wake)
+//!   against the shims and assert their invariants across all
+//!   schedules. These must pass exhaustively.
 //! * [`mutants`] — seeded-bug replicas of each protocol (relaxed
 //!   publish, missing revalidation, flag-outside-mutex, load+store
-//!   counter, missing double-check, steal peek-then-re-lock). These
-//!   must *fail*: they are the regression net proving the checker can
-//!   still see each bug class.
+//!   counter, missing double-check, steal peek-then-re-lock, doorbell
+//!   armed after the re-check). These must *fail*: they are the
+//!   regression net proving the checker can still see each bug class.
 //!
 //! [`run_all`] packages both as `AN-MC` findings for the CLI.
 
+use smm_serve::doorbell::Wake;
 use smm_sync::mc::{Checker, FailureKind, Outcome};
+use smm_sync::sync::{Condvar, Mutex};
 
 use crate::report::{Finding, Report};
 
@@ -31,6 +34,40 @@ fn checker(bound: usize) -> Checker {
     Checker {
         preemption_bound: bound,
         ..Checker::default()
+    }
+}
+
+/// The reader doorbell's OS wake, modelled on the facade: a wake marks
+/// a byte pending and a blocked reader waits for one, then drains it —
+/// the level-triggered readiness of the reader's socket pair. Exact
+/// condvar semantics make a lost wake a model deadlock.
+struct ShimWake {
+    pending: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl ShimWake {
+    fn new() -> ShimWake {
+        ShimWake {
+            pending: Mutex::new(false),
+            cv: Condvar::new(),
+        }
+    }
+
+    /// Block until a wake is pending, and consume it.
+    fn block(&self) {
+        let mut pending = self.pending.lock().unwrap();
+        while !*pending {
+            pending = self.cv.wait(pending).unwrap();
+        }
+        *pending = false;
+    }
+}
+
+impl Wake for ShimWake {
+    fn wake(&self) {
+        *self.pending.lock().unwrap() = true;
+        self.cv.notify_all();
     }
 }
 
@@ -43,12 +80,14 @@ pub mod protocols {
     use smm_gemm::arena;
     use smm_gemm::flight::{set_thread_tid, EventKind, FlightRecorder, SpanEvent};
     use smm_gemm::pool::TaskPool;
+    use smm_serve::doorbell::Doorbell;
     use smm_serve::steal::ShardQueues;
     use smm_sync::mc::Outcome;
+    use smm_sync::sync::atomic::{AtomicBool, Ordering};
     use smm_sync::sync::thread;
     use smm_tune::{DeltaBuffer, PlanEntry};
 
-    use super::checker;
+    use super::{checker, ShimWake};
 
     /// An event whose every field carries the same pattern value, so a
     /// torn (mixed-write) read is detectable from the payload alone.
@@ -246,6 +285,42 @@ pub mod protocols {
             assert_eq!(q.total_len(), 0);
         })
     }
+
+    /// `serve::doorbell` reader wake: two completers each publish a
+    /// reply (relaxed, so the doorbell alone must order it) and ring,
+    /// while the reader loops as a TCP reader does — sweep, and when
+    /// the sweep finds nothing, arm, re-check, and block on the wake.
+    /// No reply may stay unseen while the reader blocks: a lost ring
+    /// leaves it waiting on a wake nobody sends, which the checker
+    /// reports as a deadlock.
+    pub fn reader_doorbell(bound: usize) -> Outcome {
+        checker(bound).explore("reader-doorbell", || {
+            let bell = Arc::new(Doorbell::new(ShimWake::new()));
+            let replies = Arc::new([AtomicBool::new(false), AtomicBool::new(false)]);
+            let completers: Vec<_> = (0..2)
+                .map(|i| {
+                    let (bell, replies) = (Arc::clone(&bell), Arc::clone(&replies));
+                    thread::spawn(move || {
+                        replies[i].store(true, Ordering::Relaxed);
+                        bell.ring();
+                    })
+                })
+                .collect();
+            let unseen =
+                |seen: &[bool; 2]| (0..2).find(|&i| !seen[i] && replies[i].load(Ordering::Relaxed));
+            let mut seen = [false; 2];
+            while seen != [true; 2] {
+                if let Some(i) = unseen(&seen) {
+                    seen[i] = true;
+                    continue;
+                }
+                bell.block_unless(|| unseen(&seen).is_some(), || bell.waker().block());
+            }
+            for c in completers {
+                c.join().unwrap();
+            }
+        })
+    }
 }
 
 /// Seeded-bug replicas: each must be *caught* by the checker.
@@ -253,12 +328,13 @@ pub mod mutants {
     use std::collections::VecDeque;
     use std::sync::Arc;
 
+    use smm_serve::doorbell::Wake as _;
     use smm_sync::mc::Outcome;
     use smm_sync::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
     use smm_sync::sync::thread;
     use smm_sync::sync::{Condvar, Mutex, RwLock};
 
-    use super::checker;
+    use super::{checker, ShimWake};
 
     /// Seqlock writer that publishes the even sequence with `Relaxed`
     /// instead of `Release`: a reader can accept the sequence without
@@ -412,6 +488,34 @@ pub mod mutants {
             );
         })
     }
+
+    /// Reader doorbell armed *after* the re-check: a reply that lands
+    /// between the re-check and the arm rings a disarmed bell, and the
+    /// reader blocks with it unseen — a lost wakeup, which exact
+    /// condvar semantics turn into a deadlock the checker reports.
+    pub fn doorbell_arm_after_recheck(bound: usize) -> Outcome {
+        checker(bound).explore("mutant-doorbell-arm-after-recheck", || {
+            let armed = Arc::new(AtomicBool::new(false));
+            let wake = Arc::new(ShimWake::new());
+            let reply = Arc::new(AtomicBool::new(false));
+            let (ca, cw, cr) = (Arc::clone(&armed), Arc::clone(&wake), Arc::clone(&reply));
+            let completer = thread::spawn(move || {
+                cr.store(true, Ordering::Relaxed);
+                if ca.swap(false, Ordering::AcqRel) {
+                    cw.wake();
+                }
+            });
+            while !reply.load(Ordering::Relaxed) {
+                // BUG: the re-check must come after the arm.
+                if !reply.load(Ordering::Relaxed) {
+                    armed.swap(true, Ordering::AcqRel);
+                    wake.block();
+                }
+                armed.swap(false, Ordering::AcqRel);
+            }
+            completer.join().unwrap();
+        })
+    }
 }
 
 fn protocol_finding(out: &Outcome) -> Finding {
@@ -487,6 +591,7 @@ pub fn run_all(bound: usize) -> Report {
         protocols::plan_cache_dcl(bound),
         protocols::delta_buffer(bound),
         protocols::shard_steal(bound),
+        protocols::reader_doorbell(bound),
     ] {
         report.push(protocol_finding(&out));
     }
@@ -497,6 +602,7 @@ pub fn run_all(bound: usize) -> Report {
         (mutants::arena_counter_lost_update(bound), false),
         (mutants::plan_cache_no_double_check(bound), false),
         (mutants::shard_steal_double_execute(bound), false),
+        (mutants::doorbell_arm_after_recheck(bound), true),
     ] {
         report.push(mutant_finding(&out, expect_deadlock));
     }

@@ -58,6 +58,13 @@ fn shard_steal_exhaustive_at_bound() {
 }
 
 #[test]
+fn reader_doorbell_exhaustive_at_bound() {
+    let out = protocols::reader_doorbell(BOUND);
+    assert!(out.passed(), "{}", out.summary());
+    assert!(out.complete, "exploration truncated: {}", out.summary());
+}
+
+#[test]
 fn mutant_seqlock_relaxed_publish_is_caught() {
     let out = mutants::seqlock_relaxed_publish(BOUND);
     assert!(!out.passed(), "checker missed the relaxed publish");
@@ -99,6 +106,20 @@ fn mutant_dcl_missing_recheck_is_caught() {
 fn mutant_shard_steal_double_execute_is_caught() {
     let out = mutants::shard_steal_double_execute(BOUND);
     assert!(!out.passed(), "checker missed the double execution");
+}
+
+#[test]
+fn mutant_doorbell_arm_after_recheck_is_caught_as_deadlock() {
+    let out = mutants::doorbell_arm_after_recheck(BOUND);
+    let failure = out
+        .failure
+        .as_ref()
+        .expect("checker missed the doorbell armed after its re-check");
+    assert!(
+        matches!(failure.kind, FailureKind::Deadlock { .. }),
+        "expected a deadlock, got: {}",
+        out.summary()
+    );
 }
 
 #[test]

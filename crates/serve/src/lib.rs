@@ -13,9 +13,10 @@
 //! * [`server`] — the in-process core: a **bounded admission queue**
 //!   with explicit backpressure ([`Rejected::QueueFull`]), per-request
 //!   **deadlines** expired before dispatch, a dispatcher thread that
-//!   **coalesces same-shape requests** arriving within a configurable
-//!   window into one `gemm_batch` call (one cached plan, cross-request
-//!   parallelism on the existing `TaskPool`), and **graceful shutdown**
+//!   **coalesces same-shape requests** already queued or arriving
+//!   within a configurable window into one `gemm_batch` call (one
+//!   cached plan, cross-request parallelism on the existing
+//!   `TaskPool`), and **graceful shutdown**
 //!   that drains in-flight work and answers every outstanding request.
 //! * [`wire`] — a small length-prefixed binary protocol (`f32` only)
 //!   whose decoder is total: truncated, oversized, or garbage frames
@@ -29,9 +30,12 @@
 //!   the existing `STATS` opcode.
 //! * [`tcp`] — a `std::net` front end: an acceptor thread plus a
 //!   fixed pool of reader threads multiplexing nonblocking
-//!   connections, so idle connections cost buffers, not threads.
+//!   connections, so idle connections cost buffers, not threads. Each
+//!   reader blocks in `poll(2)` and is woken by its [`doorbell`] when a
+//!   reply completes, so the front end needs a unix target; the
+//!   in-process server does not.
 //! * telemetry: the dispatcher records serve-side phase spans —
-//!   enqueue-wait, coalesce-window, dispatch, reply — into the owning
+//!   enqueue-wait, coalesce, dispatch, reply — into the owning
 //!   `Smm`'s histogram shards under
 //!   [`CallSite::Serve`](smm_core::CallSite), so
 //!   [`stats_report`](smm_core::Smm::stats_report) extends the paper's
@@ -55,10 +59,14 @@
 #![deny(missing_docs)]
 
 mod clock;
+pub mod doorbell;
+#[cfg(unix)]
+mod poll;
 pub mod request;
 pub mod server;
 pub mod shard;
 pub mod steal;
+#[cfg(unix)]
 pub mod tcp;
 pub mod wire;
 
@@ -66,4 +74,5 @@ pub use request::{GemmRequest, Rejected, Ticket};
 pub use server::{Client, ServeConfig, ServeStats, Server, ServerBuilder};
 pub use shard::{gather_fleet, route_shape, shard_panel, FleetReport, ShardSection, PAPER_PANELS};
 pub use steal::{Refused, ShardQueues, Step};
+#[cfg(unix)]
 pub use tcp::{TcpClient, TcpServer, DEFAULT_MAX_CONNECTIONS};

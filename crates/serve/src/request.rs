@@ -9,6 +9,8 @@ use smm_sync::sync::{Condvar, Mutex};
 use smm_core::{Operand, SmmError};
 use smm_kernels::Scalar;
 
+use crate::doorbell::Ring;
+
 /// One GEMM to serve: `C = alpha·A·B + beta·C` over owned column-major
 /// buffers (`A` is `m × k` with leading dimension `m`, `B` is `k × n`
 /// with leading dimension `k`, `C` is `m × n` with leading dimension
@@ -143,6 +145,9 @@ impl std::error::Error for Rejected {
 pub(crate) struct ReplySlot<S: Scalar> {
     state: Mutex<Option<Result<Vec<S>, Rejected>>>,
     cv: Condvar,
+    /// The doorbell of the TCP reader that submitted the request, rung
+    /// instead of `cv`: that reader polls the ticket and never waits.
+    bell: Option<Arc<dyn Ring>>,
 }
 
 impl<S: Scalar> ReplySlot<S> {
@@ -150,7 +155,13 @@ impl<S: Scalar> ReplySlot<S> {
         let mut st = self.state.lock().unwrap();
         debug_assert!(st.is_none(), "reply slot fulfilled twice");
         *st = Some(result);
-        self.cv.notify_all();
+        match &self.bell {
+            Some(bell) => {
+                drop(st);
+                bell.ring();
+            }
+            None => self.cv.notify_all(),
+        }
     }
 }
 
@@ -180,6 +191,11 @@ impl<S: Scalar> Ticket<S> {
     pub fn try_take(&self) -> Option<Result<Vec<S>, Rejected>> {
         self.slot.state.lock().unwrap().take()
     }
+
+    /// Whether the answer is in, without taking it.
+    pub(crate) fn is_ready(&self) -> bool {
+        self.slot.state.lock().unwrap().is_some()
+    }
 }
 
 impl<S: Scalar> fmt::Debug for Ticket<S> {
@@ -188,11 +204,13 @@ impl<S: Scalar> fmt::Debug for Ticket<S> {
     }
 }
 
-/// A connected (slot, ticket) pair for one request.
-pub(crate) fn reply_pair<S: Scalar>() -> (Arc<ReplySlot<S>>, Ticket<S>) {
+/// A connected (slot, ticket) pair for one request; `bell`, when set,
+/// is rung on fulfillment in place of the ticket's condvar.
+pub(crate) fn reply_pair<S: Scalar>(bell: Option<Arc<dyn Ring>>) -> (Arc<ReplySlot<S>>, Ticket<S>) {
     let slot = Arc::new(ReplySlot {
         state: Mutex::new(None),
         cv: Condvar::new(),
+        bell,
     });
     (slot.clone(), Ticket { slot })
 }
@@ -229,10 +247,28 @@ mod tests {
 
     #[test]
     fn ticket_roundtrip_and_single_fulfillment() {
-        let (slot, ticket) = reply_pair::<f32>();
+        let (slot, ticket) = reply_pair::<f32>(None);
         assert!(ticket.try_take().is_none());
         slot.fulfill(Ok(vec![1.0, 2.0]));
         assert_eq!(ticket.wait().unwrap(), vec![1.0, 2.0]);
+    }
+
+    #[test]
+    fn a_slot_with_a_bell_rings_it_instead_of_the_condvar() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        struct Count(AtomicUsize);
+        impl Ring for Count {
+            fn ring(&self) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let bell = Arc::new(Count(AtomicUsize::new(0)));
+        let (slot, ticket) = reply_pair::<f32>(Some(bell.clone()));
+        assert!(!ticket.is_ready());
+        slot.fulfill(Ok(vec![3.0]));
+        assert_eq!(bell.0.load(Ordering::Relaxed), 1);
+        assert!(ticket.is_ready());
+        assert_eq!(ticket.try_take().unwrap().unwrap(), vec![3.0]);
     }
 
     #[test]

@@ -6,12 +6,14 @@
 //! # One shard (the default)
 //!
 //! One dispatcher thread owns the batching decision. It pops the oldest
-//! queued request, pulls every already-queued request with the same
-//! *(shape, alpha, beta)* key, and then holds the group open for a
-//! configurable coalescing window, absorbing same-key arrivals until
-//! the window closes or [`ServeConfig::max_batch`] is reached. The
-//! group executes as **one** [`Smm::gemm_batch`] call — one cached
-//! plan, cross-request parallelism on the runtime's persistent
+//! queued request and pulls every already-queued request with the same
+//! *(shape, alpha, beta)* key in the same critical section. It then
+//! holds the group open for the whole [`ServeConfig::coalesce_window`],
+//! absorbing same-key arrivals until the window closes or
+//! [`ServeConfig::max_batch`] is reached; with a zero window the group
+//! is what was already queued, and a lone request is dispatched at
+//! once. The group executes as **one** [`Smm::gemm_batch`] call — one
+//! cached plan, cross-request parallelism on the runtime's persistent
 //! `TaskPool` — which is exactly the across-GEMM parallelism the
 //! paper's §III-D prescribes for tiny shapes. A group of one skips the
 //! flat-buffer copies and calls [`Smm::gemm`] directly.
@@ -61,6 +63,7 @@ use smm_gemm::matrix::{MatMut, MatRef};
 use smm_kernels::Scalar;
 
 use crate::clock;
+use crate::doorbell::Ring;
 use crate::request::{reply_pair, GemmRequest, Rejected, ReplySlot, Ticket};
 use crate::shard::route_shape;
 use crate::steal::{Refused, ShardQueues, Step};
@@ -73,8 +76,18 @@ pub struct ServeConfig {
     /// [`Rejected::QueueFull`].
     pub queue_capacity: usize,
     /// How long the dispatcher holds a group open for more same-shape
-    /// arrivals. Zero disables coalescing-by-waiting (already-queued
-    /// same-shape requests are still grouped).
+    /// arrivals (default 100 µs). Zero holds nothing: a group is
+    /// whichever same-key requests are already queued when its head is
+    /// popped, so batches still form under load. A window trades
+    /// latency for batch size on every group, lone requests included,
+    /// and it paces the dispatchers: each holds one group per window,
+    /// so a saturated server's throughput is set by the window rather
+    /// than by whatever CPU the host has left. On the benchmark's
+    /// `serve_mix` workload (2 shards behind `TcpServer`, 2-vCPU x86
+    /// host) the default measured about 510 µs heavy-phase p50 and a
+    /// steady 44k op/s saturation; a zero window measured about 130 µs
+    /// and 72–106k op/s, spread by the host's other load. Set zero
+    /// where lone-request latency matters more than steady throughput.
     pub coalesce_window: Duration,
     /// Maximum requests coalesced into one `gemm_batch` call.
     pub max_batch: usize,
@@ -338,6 +351,25 @@ impl<S: Scalar> Client<S> {
     /// deep — or turns out to be full — the request spills to the
     /// shallowest shard instead.
     pub fn submit(&self, req: GemmRequest<S>) -> Result<Ticket<S>, Rejected> {
+        self.submit_inner(req, None)
+    }
+
+    /// [`Client::submit`] for a caller that polls the ticket instead of
+    /// waiting on it: the reply rings `bell` rather than the ticket's
+    /// condvar.
+    pub(crate) fn submit_ringing(
+        &self,
+        req: GemmRequest<S>,
+        bell: &Arc<dyn Ring>,
+    ) -> Result<Ticket<S>, Rejected> {
+        self.submit_inner(req, Some(Arc::clone(bell)))
+    }
+
+    fn submit_inner(
+        &self,
+        req: GemmRequest<S>,
+        bell: Option<Arc<dyn Ring>>,
+    ) -> Result<Ticket<S>, Rejected> {
         req.validate().map_err(Rejected::Invalid)?;
         let shared = &self.shared;
         let nshards = shared.shards.len();
@@ -381,7 +413,7 @@ impl<S: Scalar> Client<S> {
             state.tracer.end_span(span);
             Err(err)
         };
-        let (slot, ticket) = reply_pair();
+        let (slot, ticket) = reply_pair(bell);
         let mut pending = Pending {
             deadline: req.deadline.map(|d| now + d),
             enqueued: now,
@@ -754,8 +786,9 @@ fn prewarm_hot_shapes<S: Scalar>(smm: &Smm<S>, cfg: &ServeConfig) -> u64 {
 
 /// What one scheduling round of a dispatcher produced.
 enum Round<S: Scalar> {
-    /// A head request popped from the own queue (coalesce next).
-    Head(Box<Pending<S>>),
+    /// A head request popped from the own queue, with every queued
+    /// request of its key (held for the window next, if one is set).
+    Head(Vec<Pending<S>>),
     /// A ready-made group stolen from a sibling (dispatch directly).
     Stolen(Vec<Pending<S>>),
     /// Nothing anywhere and not shutting down: the round already
@@ -787,7 +820,9 @@ fn dispatcher_loop<S: Scalar>(smm: &Smm<S>, shared: &ServeShared<S>, shard: usiz
                 expire_queued(q, shared, clock::now());
             }
             if let Some(p) = q.pop_front() {
-                return Step::Done(Round::Head(Box::new(p)));
+                let mut group = vec![p];
+                extract_matching(q, &mut group, cfg.max_batch);
+                return Step::Done(Round::Head(group));
             }
             if down {
                 return Step::Done(Round::Exit);
@@ -834,28 +869,29 @@ fn dispatcher_loop<S: Scalar>(smm: &Smm<S>, shared: &ServeShared<S>, shard: usiz
                     .fetch_add(group.len() as u64, Ordering::Relaxed);
                 process_group(smm, shared, shard, group, popped_at);
             }
-            Round::Head(head) => {
-                // Phase 2: coalesce. Grab everything already queued
-                // with the same key, then hold the group open for the
-                // window.
+            Round::Head(mut group) => {
+                // Phase 2: coalesce. The group already holds everything
+                // queued with the head's key; a set window holds it
+                // open for same-key arrivals too.
                 let popped_at = clock::now();
-                let mut group = vec![*head];
-                let window_ends = popped_at + cfg.coalesce_window;
-                shared.queues.drive(shard, |q, down| {
-                    extract_matching(q, &mut group, cfg.max_batch);
-                    // Drain fast once shutdown is requested — the
-                    // window only trades latency for batching, and at
-                    // drain time latency is all that is left to
-                    // optimize.
-                    if down || group.len() >= cfg.max_batch || cfg.coalesce_window.is_zero() {
-                        return Step::Done(());
-                    }
-                    let now = clock::now();
-                    if now >= window_ends {
-                        return Step::Done(());
-                    }
-                    Step::WaitTimeout(window_ends - now)
-                });
+                if !cfg.coalesce_window.is_zero() {
+                    let window_ends = popped_at + cfg.coalesce_window;
+                    shared.queues.drive(shard, |q, down| {
+                        extract_matching(q, &mut group, cfg.max_batch);
+                        // Drain fast once shutdown is requested — the
+                        // window only trades latency for batching, and
+                        // at drain time latency is all that is left to
+                        // optimize.
+                        if down || group.len() >= cfg.max_batch {
+                            return Step::Done(());
+                        }
+                        let now = clock::now();
+                        if now >= window_ends {
+                            return Step::Done(());
+                        }
+                        Step::WaitTimeout(window_ends - now)
+                    });
+                }
                 // Phase 3: expire-before-dispatch, execute, reply.
                 process_group(smm, shared, shard, group, popped_at);
             }

@@ -1,5 +1,6 @@
 //! `std::net` TCP front end over the in-process [`Server`]: a fixed
-//! pool of reader threads multiplexing nonblocking connections.
+//! pool of reader threads multiplexing nonblocking connections, each
+//! reader blocked in `poll(2)` until a socket or its doorbell has news.
 //!
 //! The thread-per-connection acceptor this replaces spent one OS
 //! thread (stack, scheduler slot, park/unpark churn) per connection —
@@ -10,17 +11,35 @@
 //! [`TcpServer::bind_with_max_conns`]), refusing over-cap connects
 //! with a typed [`ERR_BUSY`](crate::wire::ERR_BUSY) reply, and hands
 //! each admitted stream round-robin to one of [`READER_THREADS`]
-//! reader threads. Each reader sweeps its connections: flush buffered
-//! reply bytes, resolve finished [`Ticket`](crate::Ticket)s in FIFO
-//! order per connection, read whatever bytes are available without
-//! blocking, and re-frame them incrementally — a frame split across
-//! any number of reads is reassembled byte-for-byte. Requests are
-//! submitted through the shared [`Client`] and **never awaited on the
-//! reader thread**: the reader parks the ticket next to the
-//! connection and polls it with [`Ticket::try_take`] on later sweeps,
-//! so thousands of idle or slow connections cost buffers, not
-//! threads, and one stalled request never blocks the other
-//! connections on its reader.
+//! reader threads. Each reader sweeps its connections: resolve
+//! finished [`Ticket`](crate::Ticket)s in FIFO order per connection,
+//! flush buffered reply bytes, read the bytes `poll(2)` reported, and
+//! re-frame them incrementally — a frame split across any number of
+//! reads is reassembled byte-for-byte. Requests are submitted through
+//! the shared [`Client`] and **never awaited on the reader thread**:
+//! the reader keeps the ticket next to the connection, and the reply
+//! rings the reader's [`Doorbell`] when it is fulfilled. So thousands
+//! of idle or slow connections cost buffers, not threads, one stalled
+//! request never blocks the other connections on its reader, and a
+//! finished reply is flushed when it exists, not on a timer.
+//!
+//! Waiting is event-driven. When a sweep moves nothing, the reader
+//! arms its doorbell, re-checks what can ring it (its tickets, its
+//! inbox of new streams, the stop flag) and blocks in `poll(2)` on the
+//! doorbell's socket pair and every unparked connection: `POLLIN`
+//! while the connection is within its intake bounds, `POLLOUT` while
+//! reply bytes wait to be flushed. A completed reply, the acceptor and
+//! shutdown each ring the doorbell; the ring writes one byte only while
+//! the reader is armed (see [`crate::doorbell`] for why no ring is
+//! lost). With no connection parked the reader blocks with no timeout.
+//!
+//! `poll(2)` costs time per socket, so a connection quiet for 4 ms
+//! with nothing owed is *parked*: taken out of the poll set. While any
+//! connection is parked the reader wakes at least every millisecond and
+//! probes a rotating seventh of the parked set with one zero-timeout
+//! `poll(2)`, so a parked connection's first request waits under 8 ms
+//! and an idle flood costs a fraction of a syscall per connection per
+//! millisecond.
 //!
 //! Fairness and backpressure are explicit: at most
 //! [`FRAMES_PER_SWEEP`] frames are decoded per connection per sweep
@@ -38,21 +57,29 @@
 //! sharded server renders the aggregated [`FleetReport`]
 //! (per-shard sections plus the merged fleet view).
 //!
-//! Shutdown never relies on read timeouts: readers poll the stop flag
-//! every sweep and never block on a socket, so [`TcpServer::shutdown`]
-//! just raises the flag, wakes the acceptor with a self-connection,
-//! and joins everything before draining the inner [`Server`].
+//! Shutdown never relies on read timeouts: [`TcpServer::shutdown`]
+//! raises the stop flag, rings every reader's doorbell, wakes the
+//! acceptor with a self-connection, and joins everything before
+//! draining the inner [`Server`].
+//!
+//! `poll(2)` and Unix-domain socket pairs are POSIX, so this module is
+//! built on unix targets only.
 
 use std::collections::VecDeque;
+use std::ffi::c_short;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use smm_core::Smm;
 
+use crate::clock;
+use crate::doorbell::{Doorbell, Ring};
+use crate::poll::{self, PollFd, SocketWake, POLLIN, POLLOUT};
 use crate::request::{GemmRequest, Rejected, Ticket};
 use crate::server::{Client, ServeStats, Server};
 use crate::shard::gather_fleet;
@@ -85,24 +112,38 @@ const WBUF_HIGH: usize = 1 << 20;
 /// in flight; resumes as replies complete.
 const PENDING_HIGH: usize = 256;
 
-/// Reader park time when a sweep made no progress on any connection.
-const IDLE_SLEEP: Duration = Duration::from_micros(200);
+/// Quiet time after which a connection with nothing owed is parked:
+/// taken out of the poll set and probed in slices instead. Measured in
+/// time, not sweeps: sweeps come whenever any connection on the reader
+/// has news, so a sweep count would park a connection for its
+/// reader-mates' business.
+const PARK_AFTER: Duration = Duration::from_millis(4);
 
-/// Sweeps without progress before a connection is parked: parked
-/// connections are probed only every [`PARKED_PERIOD`]-th sweep, so a
-/// flood of idle connections costs a fraction of a read syscall per
-/// sweep each instead of one. A connection with replies in flight is
-/// never parked, and any progress instantly un-parks.
-const PARK_AFTER: u32 = 16;
+/// Longest a reader with parked connections blocks before its next
+/// parked probe.
+const PARKED_PROBE_PERIOD: Duration = Duration::from_millis(1);
 
-/// Probe period (in sweeps) for parked connections, staggered per
-/// connection so the probes spread across sweeps instead of bunching.
-const PARKED_PERIOD: u64 = 32;
+/// Each probe covers this fraction of the parked set, so every parked
+/// connection is probed within this many periods, about 7.7 ms: the
+/// longest a parked connection's first request waits. Fewer slices
+/// pick it up sooner at a proportional CPU cost, since a zero-timeout
+/// probe costs about 0.4 µs per idle TCP socket (2-vCPU x86 host).
+const PARKED_SLICES: usize = 7;
+
+/// One reader thread's mailbox: streams the acceptor handed over, and
+/// the doorbell that tells the blocked reader about them, about its
+/// completed replies, and about shutdown.
+struct ReaderShared {
+    inbox: Mutex<Vec<TcpStream>>,
+    bell: Arc<Doorbell<SocketWake>>,
+}
 
 struct TcpShared {
     /// Stop flag for the acceptor and readers; relaxed — it is only a
-    /// one-way latch polled once per sweep, and the joins in
-    /// `shutdown` provide the final synchronization.
+    /// one-way latch, shutdown rings each reader's doorbell after
+    /// raising it (the doorbell's AcqRel swaps order the store before
+    /// a blocked reader's re-check), and the joins in `shutdown`
+    /// provide the final synchronization.
     stop: AtomicBool,
     client: Client<f32>,
     /// Handles to every shard runtime, so a `STATS` frame can be
@@ -119,13 +160,15 @@ struct TcpShared {
     /// Concurrent-connection cap; accepts beyond it are answered with
     /// a typed busy reply and closed.
     max_connections: usize,
+    /// One mailbox per reader thread, indexed like the threads.
+    readers: Vec<ReaderShared>,
 }
 
 /// One reply owed to a connection, in request order.
 enum PendingReply {
     /// Already-encoded payload waiting to be framed out.
     Ready(Vec<u8>),
-    /// A submitted request whose ticket the reader polls.
+    /// A submitted request whose ticket rings the reader when done.
     Waiting {
         ticket: Ticket<f32>,
         m: usize,
@@ -148,15 +191,19 @@ struct Conn {
     /// Reading stopped (peer EOF or stream desync); the connection is
     /// dropped once every owed reply is flushed.
     closing: bool,
-    /// Consecutive sweeps without progress; at [`PARK_AFTER`] the
-    /// connection is parked (probed every [`PARKED_PERIOD`] sweeps).
-    idle_streak: u32,
-    /// Stagger offset so parked probes spread across sweeps.
-    phase: u64,
+    /// A read may find bytes: set by `poll(2)` (and for a new or
+    /// unparked stream), cleared when a read would block.
+    can_read: bool,
+    /// A write may go through: cleared when a write would block, set
+    /// again by `poll(2)`.
+    can_write: bool,
+    /// Last sweep that moved anything (or the accept); the connection
+    /// parks after [`PARK_AFTER`] without one.
+    last_progress: Instant,
 }
 
 impl Conn {
-    fn new(stream: TcpStream, phase: u64) -> Conn {
+    fn new(stream: TcpStream, now: Instant) -> Conn {
         Conn {
             stream,
             rbuf: Vec::new(),
@@ -164,8 +211,9 @@ impl Conn {
             wpos: 0,
             pending: VecDeque::new(),
             closing: false,
-            idle_streak: 0,
-            phase,
+            can_read: true,
+            can_write: true,
+            last_progress: now,
         }
     }
 
@@ -174,6 +222,58 @@ impl Conn {
             .extend_from_slice(&(payload.len() as u32).to_le_bytes());
         self.wbuf.extend_from_slice(payload);
     }
+
+    /// Within the backpressure bounds: a slow reader (growing `wbuf`)
+    /// or a deep pipeline (growing `pending`) stops being read until
+    /// it drains.
+    fn may_intake(&self) -> bool {
+        !self.closing
+            && self.wbuf.len() - self.wpos < WBUF_HIGH
+            && self.pending.len() < PENDING_HIGH
+    }
+
+    /// The events to poll this connection for; none when it waits on
+    /// its tickets alone.
+    fn interest(&self) -> c_short {
+        let mut events = 0;
+        if self.may_intake() {
+            events |= POLLIN;
+        }
+        if self.wpos < self.wbuf.len() {
+            events |= POLLOUT;
+        }
+        events
+    }
+
+    /// The reply owed first can be framed now — the one event a
+    /// connection's socket cannot report, so the doorbell does.
+    fn reply_ready(&self) -> bool {
+        match self.pending.front() {
+            Some(PendingReply::Ready(_)) => true,
+            Some(PendingReply::Waiting { ticket, .. }) => ticket.is_ready(),
+            None => false,
+        }
+    }
+
+    /// A whole frame, or an oversized length prefix that ends the
+    /// stream, is already buffered.
+    fn frame_buffered(&self) -> bool {
+        frame_len(&self.rbuf)
+            .is_some_and(|len| len > wire::MAX_PAYLOAD || self.rbuf.len() >= 4 + len)
+    }
+
+    /// Nothing owed, buffered or closing: only the socket can bring
+    /// news, so a probe suffices.
+    fn parkable(&self) -> bool {
+        self.pending.is_empty() && !self.closing && self.wbuf.is_empty()
+    }
+}
+
+/// The payload length a buffer's 4-byte prefix announces, once the
+/// prefix is in.
+fn frame_len(buf: &[u8]) -> Option<usize> {
+    let prefix: [u8; 4] = buf.get(..4)?.try_into().expect("a 4-byte slice");
+    Some(u32::from_le_bytes(prefix) as usize)
 }
 
 /// A TCP server speaking the [`wire`](crate::wire) protocol in front
@@ -220,32 +320,36 @@ impl TcpServer {
     ) -> std::io::Result<TcpServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
+        let readers = (0..READER_THREADS)
+            .map(|_| {
+                Ok(ReaderShared {
+                    inbox: Mutex::new(Vec::new()),
+                    bell: Arc::new(Doorbell::new(SocketWake::new()?)),
+                })
+            })
+            .collect::<std::io::Result<Vec<_>>>()?;
         let shared = Arc::new(TcpShared {
             stop: AtomicBool::new(false),
             client: server.client(),
             smms: server.smms().to_vec(),
             conn_count: AtomicUsize::new(0),
             max_connections: max_connections.max(1),
+            readers,
         });
-        let inboxes: Vec<Arc<Mutex<Vec<TcpStream>>>> = (0..READER_THREADS)
-            .map(|_| Arc::new(Mutex::new(Vec::new())))
-            .collect();
-        let mut readers = Vec::with_capacity(READER_THREADS);
-        for (i, inbox) in inboxes.iter().enumerate() {
-            let shared = Arc::clone(&shared);
-            let inbox = Arc::clone(inbox);
-            readers.push(
+        let readers = (0..READER_THREADS)
+            .map(|i| {
+                let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("smm-serve-reader-{i}"))
-                    .spawn(move || reader_loop(&shared, &inbox))
-                    .expect("failed to spawn serve reader"),
-            );
-        }
+                    .spawn(move || reader_loop(&shared, &shared.readers[i]))
+                    .expect("failed to spawn serve reader")
+            })
+            .collect();
         let acceptor = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("smm-serve-accept".into())
-                .spawn(move || accept_loop(&listener, &shared, &inboxes))
+                .spawn(move || accept_loop(&listener, &shared))
                 .expect("failed to spawn serve acceptor")
         };
         Ok(TcpServer {
@@ -283,14 +387,17 @@ impl TcpServer {
 
     fn shutdown_inner(&mut self) {
         self.shared.stop.store(true, Ordering::Relaxed);
+        // Readers block in poll(2) until something rings: they wake,
+        // see `stop`, drop their connections (closing the streams),
+        // and exit.
+        for reader in &self.shared.readers {
+            reader.bell.ring();
+        }
         // Wake the blocking accept with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
-        // Readers never block on sockets — they observe `stop` within
-        // one sweep, drop their connections (closing the streams), and
-        // exit.
         for reader in self.readers.drain(..) {
             let _ = reader.join();
         }
@@ -305,11 +412,7 @@ impl Drop for TcpServer {
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<TcpShared>,
-    inboxes: &[Arc<Mutex<Vec<TcpStream>>>],
-) {
+fn accept_loop(listener: &TcpListener, shared: &TcpShared) {
     let mut next = 0usize;
     for stream in listener.incoming() {
         if shared.stop.load(Ordering::Relaxed) {
@@ -335,94 +438,150 @@ fn accept_loop(
             continue;
         }
         shared.conn_count.fetch_add(1, Ordering::Relaxed);
-        inboxes[next].lock().unwrap().push(stream);
-        next = (next + 1) % inboxes.len();
+        let reader = &shared.readers[next];
+        reader.inbox.lock().unwrap().push(stream);
+        reader.bell.ring();
+        next = (next + 1) % shared.readers.len();
     }
 }
 
-/// One reader thread: sweep owned connections until stop.
-fn reader_loop(shared: &Arc<TcpShared>, inbox: &Mutex<Vec<TcpStream>>) {
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut tick: u64 = 0;
-    let mut next_phase: u64 = 0;
+/// One reader thread: sweep the active connections, probe the parked
+/// ones when due, and block in `poll(2)` when nothing moved — until
+/// stop.
+fn reader_loop(shared: &TcpShared, me: &ReaderShared) {
+    // The completion hook every ticket this reader submits carries.
+    let hook: Arc<dyn Ring> = me.bell.clone();
+    let mut active: Vec<Conn> = Vec::new();
+    let mut parked: Vec<Conn> = Vec::new();
+    let mut probe_at = 0usize;
+    let mut next_probe = clock::now();
+    let mut fds: Vec<PollFd> = Vec::new();
     loop {
         if shared.stop.load(Ordering::Relaxed) {
             // Dropping the streams closes them, unblocking any peer
             // mid-read; in-flight tickets are answered (or rejected)
             // by the inner server's own drain.
-            shared.conn_count.fetch_sub(conns.len(), Ordering::Relaxed);
+            shared
+                .conn_count
+                .fetch_sub(active.len() + parked.len(), Ordering::Relaxed);
             return;
         }
-        tick = tick.wrapping_add(1);
+        let now = clock::now();
         let mut progress = false;
         {
-            let mut inbox = inbox.lock().unwrap();
+            let mut inbox = me.inbox.lock().unwrap();
             if !inbox.is_empty() {
                 progress = true;
-                conns.extend(inbox.drain(..).map(|stream| {
-                    next_phase = next_phase.wrapping_add(1);
-                    Conn::new(stream, next_phase)
-                }));
+                active.extend(inbox.drain(..).map(|stream| Conn::new(stream, now)));
             }
         }
         let mut i = 0;
-        while i < conns.len() {
-            let conn = &mut conns[i];
-            // Parked connections (long idle, nothing owed) are probed
-            // every PARKED_PERIOD-th sweep; everything else every
-            // sweep. This keeps the per-sweep cost of thousands of
-            // idle connections at a fraction of a syscall each while
-            // active connections stay on the fast path.
-            let parked = conn.idle_streak >= PARK_AFTER && conn.pending.is_empty() && !conn.closing;
-            if parked && !tick.wrapping_add(conn.phase).is_multiple_of(PARKED_PERIOD) {
-                i += 1;
-                continue;
-            }
-            let (moved, drop_conn) = sweep_conn(conn, shared);
+        while i < active.len() {
+            let conn = &mut active[i];
+            let (moved, drop_conn) = sweep_conn(conn, shared, &hook);
             if moved {
-                conn.idle_streak = 0;
-            } else {
-                conn.idle_streak = conn.idle_streak.saturating_add(1);
+                conn.last_progress = now;
+                progress = true;
             }
-            progress |= moved;
+            let park =
+                conn.parkable() && now.saturating_duration_since(conn.last_progress) >= PARK_AFTER;
             if drop_conn {
-                conns.swap_remove(i);
+                active.swap_remove(i);
                 shared.conn_count.fetch_sub(1, Ordering::Relaxed);
+            } else if park {
+                parked.push(active.swap_remove(i));
             } else {
                 i += 1;
             }
         }
-        if !progress {
-            std::thread::sleep(IDLE_SLEEP);
+        if !parked.is_empty() && now >= next_probe {
+            next_probe = now + PARKED_PROBE_PERIOD;
+            progress |= probe_parked(&mut parked, &mut active, &mut probe_at, &mut fds, now);
+        }
+
+        // Poll the doorbell and every active connection that wants an
+        // event. After progress, only refresh readiness (timeout 0) and
+        // sweep again; otherwise arm, re-check and block.
+        fds.clear();
+        fds.push(PollFd::new(me.bell.waker().fd(), POLLIN));
+        fds.extend(active.iter().map(|c| match c.interest() {
+            0 => PollFd::skip(),
+            events => PollFd::new(c.stream.as_raw_fd(), events),
+        }));
+        // Errors other than EINTR (retried inside) need invalid
+        // arguments or an out-of-memory kernel; the sweep retries.
+        if progress {
+            let _ = poll::wait(&mut fds, Some(Duration::ZERO));
+        } else {
+            let timeout = (!parked.is_empty()).then(|| next_probe.saturating_duration_since(now));
+            me.bell.block_unless(
+                || {
+                    shared.stop.load(Ordering::Relaxed)
+                        || !me.inbox.lock().unwrap().is_empty()
+                        || active.iter().any(Conn::reply_ready)
+                },
+                || {
+                    let _ = poll::wait(&mut fds, timeout);
+                },
+            );
+        }
+        if fds[0].readable() {
+            me.bell.waker().drain();
+        }
+        for (conn, fd) in active.iter_mut().zip(&fds[1..]) {
+            conn.can_read |= fd.readable();
+            conn.can_write |= fd.writable();
         }
     }
 }
 
-/// One multiplexing pass over one connection: flush, resolve finished
-/// tickets, read available bytes, decode up to [`FRAMES_PER_SWEEP`]
-/// frames. Returns `(made_progress, drop_connection)`.
-fn sweep_conn(conn: &mut Conn, shared: &TcpShared) -> (bool, bool) {
-    let mut progress = false;
-
-    // 1. Flush buffered reply bytes (partial writes resume at wpos).
-    while conn.wpos < conn.wbuf.len() {
-        match conn.stream.write(&conn.wbuf[conn.wpos..]) {
-            Ok(0) => return (true, true),
-            Ok(n) => {
-                conn.wpos += n;
-                progress = true;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return (true, true),
+/// Probe the next [`PARKED_SLICES`]-th of the parked connections with
+/// one zero-timeout `poll(2)` and move those with news back to the
+/// active set. Returns whether any moved.
+fn probe_parked(
+    parked: &mut Vec<Conn>,
+    active: &mut Vec<Conn>,
+    at: &mut usize,
+    fds: &mut Vec<PollFd>,
+    now: Instant,
+) -> bool {
+    if *at >= parked.len() {
+        *at = 0;
+    }
+    let start = *at;
+    let end = (start + parked.len().div_ceil(PARKED_SLICES)).min(parked.len());
+    *at = end;
+    fds.clear();
+    fds.extend(
+        parked[start..end]
+            .iter()
+            .map(|c| PollFd::new(c.stream.as_raw_fd(), POLLIN)),
+    );
+    if !matches!(poll::wait(fds, Some(Duration::ZERO)), Ok(n) if n > 0) {
+        return false;
+    }
+    // Back to front, so each removal leaves the lower entries of the
+    // slice in place; `remove` keeps the rotation order for the rest.
+    for j in (0..fds.len()).rev() {
+        if fds[j].readable() {
+            let mut conn = parked.remove(start + j);
+            conn.can_read = true;
+            conn.last_progress = now;
+            active.push(conn);
+            *at -= 1;
         }
     }
-    if conn.wpos == conn.wbuf.len() && !conn.wbuf.is_empty() {
-        conn.wbuf.clear();
-        conn.wpos = 0;
-    }
+    true
+}
 
-    // 2. Resolve owed replies in FIFO order; a still-pending ticket at
+/// One multiplexing pass over one connection: resolve finished
+/// tickets, flush, read what `poll(2)` reported, decode up to
+/// [`FRAMES_PER_SWEEP`] frames. Returns `(made_progress,
+/// drop_connection)`.
+fn sweep_conn(conn: &mut Conn, shared: &TcpShared, bell: &Arc<dyn Ring>) -> (bool, bool) {
+    let mut progress = false;
+
+    // 1. Resolve owed replies in FIFO order; a still-pending ticket at
     //    the front blocks later (possibly finished) ones, preserving
     //    the per-connection reply order wire clients rely on.
     while let Some(front) = conn.pending.front_mut() {
@@ -452,42 +611,63 @@ fn sweep_conn(conn: &mut Conn, shared: &TcpShared) -> (bool, bool) {
         progress = true;
     }
 
+    // 2. Flush buffered reply bytes (partial writes resume at wpos).
+    while conn.can_write && conn.wpos < conn.wbuf.len() {
+        match conn.stream.write(&conn.wbuf[conn.wpos..]) {
+            Ok(0) => return (true, true),
+            Ok(n) => {
+                conn.wpos += n;
+                progress = true;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => conn.can_write = false,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => return (true, true),
+        }
+    }
+    if conn.wpos == conn.wbuf.len() && !conn.wbuf.is_empty() {
+        conn.wbuf.clear();
+        conn.wpos = 0;
+    }
+
     // 3. Intake: read and decode only while the connection is within
-    //    its backpressure bounds — a slow reader (growing wbuf) or a
-    //    deep pipeline (growing pending) stops being read until it
-    //    drains.
-    let may_intake = !conn.closing
-        && conn.wbuf.len() - conn.wpos < WBUF_HIGH
-        && conn.pending.len() < PENDING_HIGH;
-    if may_intake {
-        let mut chunk = [0u8; 16 * 1024];
-        // Bounded reads per sweep: one connection's firehose cannot
-        // starve its reader-mates of sweeps.
-        for _ in 0..4 {
-            match conn.stream.read(&mut chunk) {
-                Ok(0) => {
-                    conn.closing = true;
-                    progress = true;
-                    break;
+    //    its backpressure bounds. Bytes are read only when no whole
+    //    frame is buffered, so a backlog waits in the socket (pushing
+    //    back on the peer through TCP flow control), not in `rbuf`.
+    if conn.may_intake() {
+        if conn.can_read && !conn.frame_buffered() {
+            let mut chunk = [0u8; 16 * 1024];
+            // Bounded reads per sweep: one connection's firehose cannot
+            // starve its reader-mates of sweeps.
+            for _ in 0..4 {
+                match conn.stream.read(&mut chunk) {
+                    Ok(0) => {
+                        conn.closing = true;
+                        progress = true;
+                        break;
+                    }
+                    Ok(n) => {
+                        conn.rbuf.extend_from_slice(&chunk[..n]);
+                        progress = true;
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                        conn.can_read = false;
+                        break;
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                    Err(_) => return (true, true),
                 }
-                Ok(n) => {
-                    conn.rbuf.extend_from_slice(&chunk[..n]);
-                    progress = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return (true, true),
             }
         }
+        // Decode in place behind a cursor; the consumed prefix is
+        // dropped once per sweep, not once per frame.
+        let mut at = 0;
         for _ in 0..FRAMES_PER_SWEEP {
             if conn.closing || conn.pending.len() >= PENDING_HIGH {
                 break;
             }
-            if conn.rbuf.len() < 4 {
+            let Some(len) = frame_len(&conn.rbuf[at..]) else {
                 break;
-            }
-            let len = u32::from_le_bytes([conn.rbuf[0], conn.rbuf[1], conn.rbuf[2], conn.rbuf[3]])
-                as usize;
+            };
             if len > wire::MAX_PAYLOAD {
                 // The stream is out of sync; answer once, flush, close.
                 let err = wire::encode_reply_err(
@@ -500,14 +680,14 @@ fn sweep_conn(conn: &mut Conn, shared: &TcpShared) -> (bool, bool) {
                 progress = true;
                 break;
             }
-            if conn.rbuf.len() < 4 + len {
+            let Some(frame) = conn.rbuf.get(at + 4..at + 4 + len) else {
                 break;
-            }
-            let frame: Vec<u8> = conn.rbuf[4..4 + len].to_vec();
-            conn.rbuf.drain(..4 + len);
-            handle_frame(conn, shared, &frame);
+            };
+            handle_frame(&mut conn.pending, shared, bell, frame);
+            at += 4 + len;
             progress = true;
         }
+        conn.rbuf.drain(..at);
     }
 
     // 4. A closing connection is dropped once every owed reply has
@@ -517,45 +697,34 @@ fn sweep_conn(conn: &mut Conn, shared: &TcpShared) -> (bool, bool) {
 }
 
 /// Decode one frame and queue its (eventual) reply on the connection.
-fn handle_frame(conn: &mut Conn, shared: &TcpShared, frame: &[u8]) {
-    match wire::decode_payload(frame) {
+fn handle_frame(
+    pending: &mut VecDeque<PendingReply>,
+    shared: &TcpShared,
+    bell: &Arc<dyn Ring>,
+    frame: &[u8],
+) {
+    let reply = match wire::decode_payload(frame) {
         Ok(WireMsg::Request(req)) => {
             let (m, n) = (req.m, req.n);
-            match shared.client.submit(req) {
-                Ok(ticket) => conn
-                    .pending
-                    .push_back(PendingReply::Waiting { ticket, m, n }),
+            match shared.client.submit_ringing(req, bell) {
+                Ok(ticket) => PendingReply::Waiting { ticket, m, n },
                 Err(rej) => {
                     let (code, detail) = wire::rejection_code(&rej);
-                    conn.pending
-                        .push_back(PendingReply::Ready(wire::encode_reply_err(
-                            code,
-                            detail,
-                            &rej.to_string(),
-                        )));
+                    PendingReply::Ready(wire::encode_reply_err(code, detail, &rej.to_string()))
                 }
             }
         }
-        Ok(WireMsg::Stats { format }) => conn
-            .pending
-            .push_back(PendingReply::Ready(answer_stats(shared, format))),
-        Ok(_) => conn
-            .pending
-            .push_back(PendingReply::Ready(wire::encode_reply_err(
-                ERR_PROTOCOL,
-                0,
-                "reply opcode sent to server",
-            ))),
+        Ok(WireMsg::Stats { format }) => PendingReply::Ready(answer_stats(shared, format)),
+        Ok(_) => PendingReply::Ready(wire::encode_reply_err(
+            ERR_PROTOCOL,
+            0,
+            "reply opcode sent to server",
+        )),
         // Framing is intact (length prefix was honoured), so a garbage
         // payload only poisons this one message.
-        Err(msg) => conn
-            .pending
-            .push_back(PendingReply::Ready(wire::encode_reply_err(
-                ERR_PROTOCOL,
-                0,
-                &msg,
-            ))),
-    }
+        Err(msg) => PendingReply::Ready(wire::encode_reply_err(ERR_PROTOCOL, 0, &msg)),
+    };
+    pending.push_back(reply);
 }
 
 /// Render the live telemetry in the requested wire format. One shard:

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use smm_core::Smm;
+use smm_core::{Phase, Smm};
 use smm_gemm::gemm_naive;
 use smm_gemm::matrix::{Mat, MatMut, MatRef};
 use smm_serve::{GemmRequest, Rejected, Server, TcpClient, TcpServer};
@@ -327,6 +327,42 @@ fn serve_telemetry_lands_in_the_report() {
     assert!(
         rendered.contains("serve"),
         "serve site missing from display: {rendered}"
+    );
+}
+
+#[test]
+fn a_zero_window_holds_no_lone_request() {
+    // Sequential lone requests leave no partner to wait for: with a
+    // zero window each is dispatched at once. The `coalesce` phase
+    // (head pop to dispatch start) must sit well under the 100 µs
+    // default window, which holds every group for the whole window.
+    let smm = Arc::new(Smm::<f32>::builder().threads(1).telemetry(true).build());
+    let server = Server::<f32>::builder()
+        .smm(Arc::clone(&smm))
+        .coalesce_window(Duration::ZERO)
+        .build();
+    let client = server.client();
+    for i in 0..200u64 {
+        let req = random_request(6, 5, 4, 900 + i);
+        let want = oracle(&req);
+        let got = client.submit(req).unwrap().wait().unwrap();
+        assert_close(&got, &want, "lone request");
+    }
+    server.shutdown();
+    let report = smm.stats_report();
+    let coalesce = report
+        .phases
+        .iter()
+        .find(|p| p.phase == Phase::Coalesce)
+        .expect("coalesce phase in the report");
+    assert_eq!(
+        coalesce.histogram.count, 200,
+        "one coalesce span per lone group"
+    );
+    let median = Duration::from_nanos(coalesce.histogram.quantile(0.5));
+    assert!(
+        median < Duration::from_micros(100),
+        "lone requests were held {median:?} at the median"
     );
 }
 
