@@ -37,6 +37,7 @@
 pub mod batch;
 pub mod error;
 pub mod exec;
+pub mod metrics;
 pub mod plan;
 pub mod rate;
 pub mod runtime;

@@ -27,6 +27,7 @@
 //! registries. A [`Telemetry`] instance belongs to one
 //! [`crate::Smm`]; the disabled state is a single branch per call.
 
+use std::cmp::Reverse;
 use std::time::{Duration, Instant};
 
 use smm_sync::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -35,10 +36,11 @@ use smm_gemm::arena::ArenaStats;
 use smm_gemm::pool::PoolStats;
 use smm_model::{p2c_as_published, MachineSpec, Precision};
 
+use crate::metrics::{self, Record};
 use crate::plan::choose_kernel;
 use crate::rate::{RateReport, RateWindow};
 use crate::runtime::RuntimeStats;
-use crate::trace::TraceExemplar;
+use crate::trace::{TraceExemplar, EXEMPLAR_CAP};
 use crate::tune::TunerStats;
 
 /// Default sliding window of the rate estimators (see [`crate::rate`]).
@@ -119,7 +121,7 @@ impl Phase {
         }
     }
 
-    fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             Phase::PlanLookup => 0,
             Phase::PackA => 1,
@@ -306,8 +308,6 @@ impl LatencyHistogram {
 #[repr(align(128))]
 struct Shard {
     hist: [[AtomicU64; HISTOGRAM_BUCKETS]; NUM_PHASES],
-    phase_ns: [AtomicU64; NUM_PHASES],
-    phase_count: [AtomicU64; NUM_PHASES],
     phase_min: [AtomicU64; NUM_PHASES],
     phase_max: [AtomicU64; NUM_PHASES],
     site_phase_ns: [[AtomicU64; NUM_PHASES]; NUM_SITES],
@@ -320,8 +320,6 @@ impl Shard {
     fn new() -> Self {
         Shard {
             hist: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
-            phase_ns: std::array::from_fn(|_| AtomicU64::new(0)),
-            phase_count: std::array::from_fn(|_| AtomicU64::new(0)),
             phase_min: std::array::from_fn(|_| AtomicU64::new(u64::MAX)),
             phase_max: std::array::from_fn(|_| AtomicU64::new(0)),
             site_phase_ns: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
@@ -461,8 +459,6 @@ impl Telemetry {
         let shard = self.shard();
         let p = phase.index();
         shard.hist[p][LatencyHistogram::bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
-        shard.phase_ns[p].fetch_add(ns, Ordering::Relaxed);
-        shard.phase_count[p].fetch_add(1, Ordering::Relaxed);
         shard.phase_min[p].fetch_min(ns, Ordering::Relaxed);
         shard.phase_max[p].fetch_max(ns, Ordering::Relaxed);
         shard.site_phase_ns[site.index()][p].fetch_add(ns, Ordering::Relaxed);
@@ -504,6 +500,15 @@ impl Telemetry {
             self.rate.record(self.epoch_ns(), entries, flops, total_ns);
         }
         self.record_shape(m, n, k, elem_bytes, entries, total_ns);
+    }
+
+    /// Count one call at `site` without accounting any GEMM work: how
+    /// a layer above the library (the `smm-serve` dispatcher) counts
+    /// its own calls when the GEMMs they ran were already recorded by
+    /// `gemm`/`gemm_batch`. Like [`Telemetry::record_call`], this
+    /// bypasses the [`Recorder`] gate.
+    pub fn record_site_call(&self, site: CallSite) {
+        self.shard().site_calls[site.index()].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Nanoseconds since this registry's construction — the time base
@@ -584,26 +589,29 @@ impl Telemetry {
         let mut packed_bytes = 0u64;
         let mut flops = 0u64;
         for shard in &self.shards {
-            for (pi, pr) in phases.iter_mut().enumerate() {
-                let count = shard.phase_count[pi].load(Ordering::Relaxed);
-                if count == 0 {
-                    continue;
+            // A phase's count is its bucket mass and its total the sum
+            // of its per-site totals, so neither needs its own counter.
+            let mut shard_site_ns = [[0u64; NUM_PHASES]; NUM_SITES];
+            for (si, row) in shard_site_ns.iter_mut().enumerate() {
+                for (pi, cell) in row.iter_mut().enumerate() {
+                    *cell = shard.site_phase_ns[si][pi].load(Ordering::Relaxed);
+                    site_phase_ns[si][pi] += *cell;
                 }
+                site_calls[si] += shard.site_calls[si].load(Ordering::Relaxed);
+            }
+            for (pi, pr) in phases.iter_mut().enumerate() {
                 let mut h = LatencyHistogram::new();
                 for (bi, b) in h.buckets.iter_mut().enumerate() {
                     *b = shard.hist[pi][bi].load(Ordering::Relaxed);
                 }
-                h.count = count;
-                h.sum_ns = shard.phase_ns[pi].load(Ordering::Relaxed);
+                h.count = h.buckets.iter().sum();
+                if h.count == 0 {
+                    continue;
+                }
+                h.sum_ns = shard_site_ns.iter().map(|row| row[pi]).sum();
                 h.min_ns = shard.phase_min[pi].load(Ordering::Relaxed);
                 h.max_ns = shard.phase_max[pi].load(Ordering::Relaxed);
                 pr.histogram.merge(&h);
-            }
-            for (si, row) in site_phase_ns.iter_mut().enumerate() {
-                for (pi, cell) in row.iter_mut().enumerate() {
-                    *cell += shard.site_phase_ns[si][pi].load(Ordering::Relaxed);
-                }
-                site_calls[si] += shard.site_calls[si].load(Ordering::Relaxed);
             }
             packed_bytes += shard.packed_bytes.load(Ordering::Relaxed);
             flops += shard.flops.load(Ordering::Relaxed);
@@ -618,6 +626,7 @@ impl Telemetry {
             .collect();
 
         // Merge shape slots (duplicates from racing inserts collapse).
+        let spec = MachineSpec::phytium_2000_plus();
         let mut merged: Vec<ShapeReport> = Vec::new();
         for slot in &self.slots {
             if slot.state.load(Ordering::Acquire) != SLOT_READY {
@@ -641,6 +650,13 @@ impl Telemetry {
                 existing.calls += calls;
                 existing.total_ns += total_ns;
             } else {
+                let prec = if elem == 8 {
+                    Precision::F64
+                } else {
+                    Precision::F32
+                };
+                let kernel = choose_kernel(m, n, k);
+                let eff = kernel.chain_bound_efficiency(spec.lanes(prec), FMA_LATENCY);
                 merged.push(ShapeReport {
                     m,
                     n,
@@ -649,49 +665,14 @@ impl Telemetry {
                     calls,
                     total_ns,
                     achieved_gflops: 0.0,
-                    predicted_gflops: 0.0,
+                    predicted_gflops: eff * spec.peak_gflops(prec, 1),
                     model_fraction: 0.0,
-                    p2c: 0.0,
+                    p2c: p2c_as_published(m, n),
                 });
             }
         }
-        let spec = MachineSpec::phytium_2000_plus();
-        for r in &mut merged {
-            let prec = if r.elem_bytes == 8 {
-                Precision::F64
-            } else {
-                Precision::F32
-            };
-            let flops_shape = 2.0 * r.m as f64 * r.n as f64 * r.k as f64 * r.calls as f64;
-            r.achieved_gflops = if r.total_ns > 0 {
-                flops_shape / r.total_ns as f64
-            } else {
-                0.0
-            };
-            let kernel = choose_kernel(r.m, r.n, r.k);
-            let eff = kernel.chain_bound_efficiency(spec.lanes(prec), FMA_LATENCY);
-            r.predicted_gflops = eff * spec.peak_gflops(prec, 1);
-            r.model_fraction = if r.predicted_gflops > 0.0 {
-                r.achieved_gflops / r.predicted_gflops
-            } else {
-                0.0
-            };
-            r.p2c = p2c_as_published(r.m, r.n);
-        }
-        merged.sort_by(|a, b| b.calls.cmp(&a.calls).then(b.total_ns.cmp(&a.total_ns)));
 
-        // Observed P2C with the paper's Eq. 1/2 widths: packed vector
-        // loads (one per SIMD register of packed bytes) over FMA
-        // instructions (one per `fma_width` MACs).
-        let observed_p2c = if flops > 0 {
-            let loads = packed_bytes as f64 / spec.simd_bytes as f64;
-            let fmas = (flops as f64 / 2.0) / spec.fma_width(Precision::F32) as f64;
-            loads / fmas
-        } else {
-            0.0
-        };
-
-        TelemetryReport {
+        let mut report = TelemetryReport {
             enabled: self.enabled,
             runtime,
             pool,
@@ -701,12 +682,14 @@ impl Telemetry {
             shapes: merged,
             packed_bytes,
             flops,
-            observed_p2c,
+            observed_p2c: 0.0,
             rate: self.rate.report(self.epoch_ns()),
             slow: Vec::new(),
             dropped_shapes: self.dropped_shapes.load(Ordering::Relaxed),
             tuner: TunerStats::default(),
-        }
+        };
+        report.derive();
+        report
     }
 
     /// Observed traffic per shape from the lock-free shape table:
@@ -839,13 +822,7 @@ impl SiteBreakdown {
         let compute = phase_ns[Phase::Compute.index()];
         let sync = phase_ns[Phase::Sync.index()];
         let total = (pack + compute + sync) as f64;
-        let pct = |x: u64| {
-            if total > 0.0 {
-                x as f64 / total * 100.0
-            } else {
-                0.0
-            }
-        };
+        let pct = |x: u64| ratio(x as f64, total) * 100.0;
         SiteBreakdown {
             site,
             calls,
@@ -928,14 +905,6 @@ pub struct TelemetryReport {
     pub tuner: TunerStats,
 }
 
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
 impl TelemetryReport {
     /// Total recorded span count of a phase.
     pub fn phase_count(&self, phase: Phase) -> u64 {
@@ -954,483 +923,75 @@ impl TelemetryReport {
 
     /// Serialize to a self-contained JSON document (std-only writer;
     /// histogram buckets are emitted sparsely as `[upper_bound, count]`
-    /// pairs).
+    /// pairs). The series and their keys are declared in
+    /// [`crate::metrics`].
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(4096);
-        s.push_str("{\n");
-        s.push_str(&format!("  \"enabled\": {},\n", self.enabled));
-        s.push_str(&format!(
-            "  \"runtime\": {{\"plan_hits\": {}, \"plan_misses\": {}, \"plan_evictions\": {}, \"cached_plans\": {}, \"pool_workers\": {}}},\n",
-            self.runtime.plan_hits,
-            self.runtime.plan_misses,
-            self.runtime.plan_evictions,
-            self.runtime.cached_plans,
-            self.runtime.pool_workers
-        ));
-        s.push_str(&format!(
-            "  \"pool\": {{\"workers\": {}, \"queue_highwater\": {}, \"worker_wakeups\": {}, \"worker_tasks\": {}, \"inline_drained\": {}, \"park_ns\": {}, \"scoped_calls\": {}}},\n",
-            self.pool.workers,
-            self.pool.queue_highwater,
-            self.pool.worker_wakeups,
-            self.pool.worker_tasks,
-            self.pool.inline_drained,
-            self.pool.park_ns,
-            self.pool.scoped_calls
-        ));
-        s.push_str(&format!(
-            "  \"arena\": {{\"hits\": {}, \"misses\": {}, \"alloc_bytes\": {}, \"hit_rate\": {}}},\n",
-            self.arena.hits,
-            self.arena.misses,
-            self.arena.alloc_bytes,
-            json_f64(self.arena.hit_rate())
-        ));
-        s.push_str("  \"phases\": {\n");
-        for (i, pr) in self.phases.iter().enumerate() {
-            let h = &pr.histogram;
-            s.push_str(&format!(
-                "    \"{}\": {{\"count\": {}, \"sum_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \"mean_ns\": {}, \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}, \"buckets\": [",
-                pr.phase.name(),
-                h.count,
-                h.sum_ns,
-                h.min_ns,
-                h.max_ns,
-                json_f64(h.mean_ns()),
-                h.quantile(0.50),
-                h.quantile(0.90),
-                h.quantile(0.99),
-            ));
-            let mut first = true;
-            for (bi, &c) in h.buckets.iter().enumerate() {
-                if c == 0 {
-                    continue;
-                }
-                if !first {
-                    s.push_str(", ");
-                }
-                first = false;
-                s.push_str(&format!(
-                    "[{}, {}]",
-                    LatencyHistogram::bucket_upper_bound(bi),
-                    c
-                ));
-            }
-            s.push_str(if i + 1 < self.phases.len() {
-                "]},\n"
-            } else {
-                "]}\n"
-            });
-        }
-        s.push_str("  },\n");
-        s.push_str("  \"sites\": {\n");
-        for (i, sb) in self.sites.iter().enumerate() {
-            s.push_str(&format!(
-                "    \"{}\": {{\"calls\": {}, \"plan_ns\": {}, \"pack_a_ns\": {}, \"pack_b_ns\": {}, \"compute_ns\": {}, \"dispatch_ns\": {}, \"sync_ns\": {}, \"enqueue_wait_ns\": {}, \"coalesce_ns\": {}, \"reply_ns\": {}, \"pack_pct\": {}, \"compute_pct\": {}, \"sync_pct\": {}}}{}\n",
-                sb.site.name(),
-                sb.calls,
-                sb.phase_ns[Phase::PlanLookup.index()],
-                sb.phase_ns[Phase::PackA.index()],
-                sb.phase_ns[Phase::PackB.index()],
-                sb.phase_ns[Phase::Compute.index()],
-                sb.phase_ns[Phase::Dispatch.index()],
-                sb.phase_ns[Phase::Sync.index()],
-                sb.phase_ns[Phase::EnqueueWait.index()],
-                sb.phase_ns[Phase::Coalesce.index()],
-                sb.phase_ns[Phase::Reply.index()],
-                json_f64(sb.pack_pct),
-                json_f64(sb.compute_pct),
-                json_f64(sb.sync_pct),
-                if i + 1 < self.sites.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  },\n");
-        s.push_str("  \"shapes\": [\n");
-        for (i, r) in self.shapes.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"m\": {}, \"n\": {}, \"k\": {}, \"elem_bytes\": {}, \"calls\": {}, \"total_ns\": {}, \"achieved_gflops\": {}, \"predicted_gflops\": {}, \"model_fraction\": {}, \"p2c\": {}}}{}\n",
-                r.m,
-                r.n,
-                r.k,
-                r.elem_bytes,
-                r.calls,
-                r.total_ns,
-                json_f64(r.achieved_gflops),
-                json_f64(r.predicted_gflops),
-                json_f64(r.model_fraction),
-                json_f64(r.p2c),
-                if i + 1 < self.shapes.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str(&format!(
-            "  \"rate\": {{\"window_secs\": {}, \"covered_secs\": {}, \"req_per_sec\": {}, \"gflops_per_sec\": {}, \"mean_ns\": {}, \"p99_now_ns\": {}, \"p99_trend_ns_per_sec\": {}, \"live_slots\": {}}},\n",
-            json_f64(self.rate.window_secs),
-            json_f64(self.rate.covered_secs),
-            json_f64(self.rate.req_per_sec),
-            json_f64(self.rate.gflops_per_sec),
-            self.rate.mean_ns,
-            self.rate.p99_now_ns,
-            json_f64(self.rate.p99_trend_ns_per_sec),
-            self.rate.live_slots
-        ));
-        s.push_str("  \"slow\": [\n");
-        for (i, e) in self.slow.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"trace\": {}, \"total_ns\": {}, \"label\": \"{}\", \"spans\": [",
-                e.trace,
-                e.total_ns,
-                e.label.replace('\\', "\\\\").replace('"', "\\\""),
-            ));
-            for (j, sp) in e.spans.iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(&format!(
-                    "{{\"name\": \"{}\", \"trace\": {}, \"span\": {}, \"parent\": {}, \"start_ns\": {}, \"dur_ns\": {}, \"tid\": {}, \"arg\": {}}}",
-                    sp.name.name(),
-                    sp.trace,
-                    sp.span,
-                    sp.parent,
-                    sp.start_ns,
-                    sp.dur_ns,
-                    sp.tid,
-                    sp.arg
-                ));
-            }
-            s.push_str(if i + 1 < self.slow.len() {
-                "]},\n"
-            } else {
-                "]}\n"
-            });
-        }
-        s.push_str("  ],\n");
-        s.push_str(&format!("  \"packed_bytes\": {},\n", self.packed_bytes));
-        s.push_str(&format!("  \"flops\": {},\n", self.flops));
-        s.push_str(&format!(
-            "  \"observed_p2c\": {},\n",
-            json_f64(self.observed_p2c)
-        ));
-        s.push_str(&format!("  \"dropped_shapes\": {},\n", self.dropped_shapes));
-        s.push_str(&format!(
-            "  \"tuner\": {{\"db_entries\": {}, \"db_hits\": {}, \"nn_matches\": {}, \"online_refines\": {}, \"untuned_builds\": {}, \"pending_deltas\": {}, \"persisted_deltas\": {}, \"db_coverage\": {}}}\n",
-            self.tuner.db_entries,
-            self.tuner.db_hits,
-            self.tuner.nn_matches,
-            self.tuner.online_refines,
-            self.tuner.untuned_builds,
-            self.tuner.pending_deltas,
-            self.tuner.persisted_deltas,
-            json_f64(self.tuner.db_coverage())
-        ));
-        s.push_str("}\n");
-        s
+        metrics::document(self)
     }
 
     /// Serialize to a Prometheus text exposition (counter, gauge, and
     /// cumulative-histogram families under the `smm_` namespace).
     ///
-    /// Histograms are emitted the way real scrapers expect them: every
-    /// phase gets the *full* bucket ladder — one cumulative
+    /// Every phase gets the *full* bucket ladder — one cumulative
     /// `_bucket{le=...}` series per boundary on every scrape, zero
-    /// counts included, closed by `le="+Inf"` plus `_sum`/`_count` —
-    /// so the label set is stable across scrapes and
-    /// `histogram_quantile()` works. (An earlier revision elided
-    /// zero-count buckets, which made bucket series flap in and out of
-    /// existence between scrapes.) Each family carries its own
-    /// `# TYPE` line naming the family exactly.
+    /// counts included, closed by `le="+Inf"` plus `_sum`/`_count` — so
+    /// the label set is stable across scrapes and
+    /// `histogram_quantile()` works. Each family is one contiguous
+    /// block under its own `# TYPE` line.
     pub fn to_prometheus(&self) -> String {
         let mut s = String::with_capacity(16384);
-        s.push_str("# HELP smm_phase_latency_ns Per-phase span latency in nanoseconds.\n");
-        s.push_str("# TYPE smm_phase_latency_ns histogram\n");
-        for pr in &self.phases {
-            let h = &pr.histogram;
-            let name = pr.phase.name();
-            let mut cum = 0u64;
-            for (bi, &c) in h.buckets.iter().enumerate() {
-                cum += c;
-                s.push_str(&format!(
-                    "smm_phase_latency_ns_bucket{{phase=\"{name}\",le=\"{}\"}} {cum}\n",
-                    LatencyHistogram::bucket_upper_bound(bi)
-                ));
-            }
-            s.push_str(&format!(
-                "smm_phase_latency_ns_bucket{{phase=\"{name}\",le=\"+Inf\"}} {}\n",
-                h.count
-            ));
-            s.push_str(&format!(
-                "smm_phase_latency_ns_sum{{phase=\"{name}\"}} {}\n",
-                h.sum_ns
-            ));
-            s.push_str(&format!(
-                "smm_phase_latency_ns_count{{phase=\"{name}\"}} {}\n",
-                h.count
-            ));
-        }
-        s.push_str("# TYPE smm_calls_total counter\n");
-        for sb in &self.sites {
-            s.push_str(&format!(
-                "smm_calls_total{{site=\"{}\"}} {}\n",
-                sb.site.name(),
-                sb.calls
-            ));
-        }
-        s.push_str("# TYPE smm_overhead_share_percent gauge\n");
-        for sb in &self.sites {
-            let name = sb.site.name();
-            s.push_str(&format!(
-                "smm_overhead_share_percent{{site=\"{name}\",component=\"pack\"}} {}\n",
-                json_f64(sb.pack_pct)
-            ));
-            s.push_str(&format!(
-                "smm_overhead_share_percent{{site=\"{name}\",component=\"compute\"}} {}\n",
-                json_f64(sb.compute_pct)
-            ));
-            s.push_str(&format!(
-                "smm_overhead_share_percent{{site=\"{name}\",component=\"sync\"}} {}\n",
-                json_f64(sb.sync_pct)
-            ));
-        }
-        s.push_str("# TYPE smm_shape_gflops gauge\n");
-        for r in &self.shapes {
-            s.push_str(&format!(
-                "smm_shape_gflops{{m=\"{}\",n=\"{}\",k=\"{}\"}} {}\n",
-                r.m,
-                r.n,
-                r.k,
-                json_f64(r.achieved_gflops)
-            ));
-        }
-        s.push_str("# TYPE smm_shape_model_fraction gauge\n");
-        for r in &self.shapes {
-            s.push_str(&format!(
-                "smm_shape_model_fraction{{m=\"{}\",n=\"{}\",k=\"{}\"}} {}\n",
-                r.m,
-                r.n,
-                r.k,
-                json_f64(r.model_fraction)
-            ));
-        }
-        // Each family below names its metric exactly in its own
-        // `# TYPE` line — a TYPE header whose name does not match the
-        // samples is malformed exposition and scrapers drop it.
-        let counter = |s: &mut String, name: &str, v: u64| {
-            s.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
-        };
-        let gauge = |s: &mut String, name: &str, v: String| {
-            s.push_str(&format!("# TYPE {name} gauge\n{name} {v}\n"));
-        };
-        counter(&mut s, "smm_plan_cache_hits_total", self.runtime.plan_hits);
-        counter(
-            &mut s,
-            "smm_plan_cache_misses_total",
-            self.runtime.plan_misses,
-        );
-        counter(
-            &mut s,
-            "smm_plan_cache_evictions_total",
-            self.runtime.plan_evictions,
-        );
-        gauge(
-            &mut s,
-            "smm_plan_cache_resident",
-            self.runtime.cached_plans.to_string(),
-        );
-        gauge(&mut s, "smm_pool_workers", self.pool.workers.to_string());
-        gauge(
-            &mut s,
-            "smm_pool_queue_highwater",
-            self.pool.queue_highwater.to_string(),
-        );
-        counter(
-            &mut s,
-            "smm_pool_worker_wakeups_total",
-            self.pool.worker_wakeups,
-        );
-        counter(
-            &mut s,
-            "smm_pool_worker_tasks_total",
-            self.pool.worker_tasks,
-        );
-        counter(
-            &mut s,
-            "smm_pool_inline_drained_total",
-            self.pool.inline_drained,
-        );
-        counter(&mut s, "smm_pool_park_ns_total", self.pool.park_ns);
-        counter(
-            &mut s,
-            "smm_pool_scoped_calls_total",
-            self.pool.scoped_calls,
-        );
-        counter(&mut s, "smm_arena_hits_total", self.arena.hits);
-        counter(&mut s, "smm_arena_misses_total", self.arena.misses);
-        counter(
-            &mut s,
-            "smm_arena_alloc_bytes_total",
-            self.arena.alloc_bytes,
-        );
-        gauge(
-            &mut s,
-            "smm_arena_hit_rate",
-            json_f64(self.arena.hit_rate()),
-        );
-        counter(&mut s, "smm_packed_bytes_total", self.packed_bytes);
-        counter(&mut s, "smm_flops_total", self.flops);
-        gauge(&mut s, "smm_observed_p2c", json_f64(self.observed_p2c));
-        gauge(
-            &mut s,
-            "smm_rate_window_covered_secs",
-            json_f64(self.rate.covered_secs),
-        );
-        gauge(
-            &mut s,
-            "smm_rate_req_per_sec",
-            json_f64(self.rate.req_per_sec),
-        );
-        gauge(
-            &mut s,
-            "smm_rate_gflops_per_sec",
-            json_f64(self.rate.gflops_per_sec),
-        );
-        gauge(
-            &mut s,
-            "smm_rate_p99_now_ns",
-            self.rate.p99_now_ns.to_string(),
-        );
-        gauge(
-            &mut s,
-            "smm_rate_p99_trend_ns_per_sec",
-            json_f64(self.rate.p99_trend_ns_per_sec),
-        );
-        gauge(&mut s, "smm_slow_exemplars", self.slow.len().to_string());
-        counter(&mut s, "smm_dropped_shapes_total", self.dropped_shapes);
-        counter(&mut s, "smm_tuner_db_hits_total", self.tuner.db_hits);
-        counter(&mut s, "smm_tuner_nn_matches_total", self.tuner.nn_matches);
-        counter(
-            &mut s,
-            "smm_tuner_online_refines_total",
-            self.tuner.online_refines,
-        );
-        counter(
-            &mut s,
-            "smm_tuner_untuned_builds_total",
-            self.tuner.untuned_builds,
-        );
-        counter(
-            &mut s,
-            "smm_tuner_persisted_deltas_total",
-            self.tuner.persisted_deltas,
-        );
-        gauge(
-            &mut s,
-            "smm_tuner_db_entries",
-            self.tuner.db_entries.to_string(),
-        );
-        gauge(
-            &mut s,
-            "smm_tuner_pending_deltas",
-            self.tuner.pending_deltas.to_string(),
-        );
-        gauge(
-            &mut s,
-            "smm_tuner_db_coverage",
-            json_f64(self.tuner.db_coverage()),
-        );
+        metrics::prometheus(&mut s, self.phases.iter().map(|r| (r.labels(), r)));
+        metrics::prometheus(&mut s, self.sites.iter().map(|r| (r.labels(), r)));
+        metrics::prometheus(&mut s, self.shapes.iter().map(|r| (r.labels(), r)));
+        metrics::prometheus(&mut s, std::iter::once((String::new(), self)));
         s
     }
 
     /// Fold `other` into `self`, producing the fleet-wide view of N
-    /// independent runtime shards: counters and histograms sum, ratios
-    /// are recomputed from the summed raw quantities, high-water marks
-    /// take the max, and per-shape rows merge by shape key. This is
-    /// what the sharded serving layer uses to aggregate per-shard
+    /// independent runtime shards: each series merges by its declared
+    /// [`Merge`](crate::metrics::Merge) rule — counters and histograms
+    /// sum, high-water marks take the max, the process-global arena
+    /// counters are carried once, per-shape rows merge by shape key —
+    /// and ratios are then recomputed from the merged raw counts. This
+    /// is what the sharded serving layer uses to aggregate per-shard
     /// [`TelemetryReport`]s into one report behind the `STATS` opcode.
     pub fn absorb(&mut self, other: &TelemetryReport) {
-        self.enabled |= other.enabled;
-        self.runtime.plan_hits += other.runtime.plan_hits;
-        self.runtime.plan_misses += other.runtime.plan_misses;
-        self.runtime.plan_evictions += other.runtime.plan_evictions;
-        self.runtime.cached_plans += other.runtime.cached_plans;
-        self.runtime.pool_workers += other.runtime.pool_workers;
-        self.pool.workers += other.pool.workers;
-        self.pool.queue_highwater = self.pool.queue_highwater.max(other.pool.queue_highwater);
-        self.pool.worker_wakeups += other.pool.worker_wakeups;
-        self.pool.worker_tasks += other.pool.worker_tasks;
-        self.pool.inline_drained += other.pool.inline_drained;
-        self.pool.park_ns += other.pool.park_ns;
-        self.pool.scoped_calls += other.pool.scoped_calls;
-        self.arena.hits += other.arena.hits;
-        self.arena.misses += other.arena.misses;
-        self.arena.alloc_bytes += other.arena.alloc_bytes;
-        for (mine, theirs) in self.phases.iter_mut().zip(&other.phases) {
-            mine.histogram.merge(&theirs.histogram);
+        metrics::fold(self, other);
+        self.derive();
+    }
+
+    /// Recompute what follows from the raw counts — each site's shares,
+    /// each shape's achieved rate and model fraction, the observed P2C
+    /// — and keep the worst [`EXEMPLAR_CAP`] exemplars. A snapshot and
+    /// a merge both end here.
+    fn derive(&mut self) {
+        for sb in &mut self.sites {
+            *sb = SiteBreakdown::from_phase_ns(sb.site, sb.calls, &sb.phase_ns);
         }
-        for (mine, theirs) in self.sites.iter_mut().zip(&other.sites) {
-            let calls = mine.calls + theirs.calls;
-            let mut phase_ns = mine.phase_ns;
-            for (a, b) in phase_ns.iter_mut().zip(&theirs.phase_ns) {
-                *a += b;
-            }
-            *mine = SiteBreakdown::from_phase_ns(mine.site, calls, &phase_ns);
+        for r in &mut self.shapes {
+            let flops = 2.0 * r.m as f64 * r.n as f64 * r.k as f64 * r.calls as f64;
+            r.achieved_gflops = ratio(flops, r.total_ns as f64);
+            r.model_fraction = ratio(r.achieved_gflops, r.predicted_gflops);
         }
-        for r in &other.shapes {
-            let key = (r.m, r.n, r.k, r.elem_bytes);
-            match self
-                .shapes
-                .iter_mut()
-                .find(|s| (s.m, s.n, s.k, s.elem_bytes) == key)
-            {
-                Some(mine) => {
-                    mine.calls += r.calls;
-                    mine.total_ns += r.total_ns;
-                    mine.achieved_gflops = if mine.total_ns > 0 {
-                        (2 * mine.m * mine.n * mine.k) as f64 * mine.calls as f64
-                            / mine.total_ns as f64
-                    } else {
-                        0.0
-                    };
-                    mine.model_fraction = if mine.predicted_gflops > 0.0 {
-                        mine.achieved_gflops / mine.predicted_gflops
-                    } else {
-                        0.0
-                    };
-                }
-                None => self.shapes.push(r.clone()),
-            }
-        }
-        self.shapes.sort_by_key(|r| std::cmp::Reverse(r.calls));
-        // Observed P2C is loads/fmas, both proportional to raw sums —
-        // the merged ratio is the flops-weighted mean of the inputs.
-        let (fa, fb) = (self.flops as f64, other.flops as f64);
-        if fa + fb > 0.0 {
-            self.observed_p2c = (self.observed_p2c * fa + other.observed_p2c * fb) / (fa + fb);
-        }
-        self.packed_bytes += other.packed_bytes;
-        self.flops += other.flops;
-        // Rates: throughput adds across shards; latency statistics are
-        // request-weighted or pessimistic (max), never averaged blind.
-        let (ra, rb) = (self.rate.req_per_sec, other.rate.req_per_sec);
-        if ra + rb > 0.0 {
-            self.rate.mean_ns = ((self.rate.mean_ns as f64 * ra + other.rate.mean_ns as f64 * rb)
-                / (ra + rb)) as u64;
-        }
-        self.rate.req_per_sec += other.rate.req_per_sec;
-        self.rate.gflops_per_sec += other.rate.gflops_per_sec;
-        self.rate.window_secs = self.rate.window_secs.max(other.rate.window_secs);
-        self.rate.covered_secs = self.rate.covered_secs.max(other.rate.covered_secs);
-        self.rate.p99_now_ns = self.rate.p99_now_ns.max(other.rate.p99_now_ns);
-        self.rate.p99_trend_ns_per_sec += other.rate.p99_trend_ns_per_sec;
-        self.rate.live_slots = self.rate.live_slots.max(other.rate.live_slots);
-        self.slow.extend(other.slow.iter().cloned());
-        self.slow.sort_by_key(|e| std::cmp::Reverse(e.total_ns));
-        self.slow.truncate(8);
-        self.dropped_shapes += other.dropped_shapes;
-        self.tuner.db_entries += other.tuner.db_entries;
-        self.tuner.db_hits += other.tuner.db_hits;
-        self.tuner.nn_matches += other.tuner.nn_matches;
-        self.tuner.online_refines += other.tuner.online_refines;
-        self.tuner.untuned_builds += other.tuner.untuned_builds;
-        self.tuner.pending_deltas += other.tuner.pending_deltas;
-        self.tuner.persisted_deltas += other.tuner.persisted_deltas;
+        self.shapes.sort_by_key(|r| Reverse((r.calls, r.total_ns)));
+        // Observed P2C with the paper's Eq. 1/2 widths: packed vector
+        // loads (one per SIMD register of packed bytes) over FMA
+        // instructions (one per `fma_width` MACs).
+        let spec = MachineSpec::phytium_2000_plus();
+        let loads = self.packed_bytes as f64 / spec.simd_bytes as f64;
+        let fmas = (self.flops as f64 / 2.0) / spec.fma_width(Precision::F32) as f64;
+        self.observed_p2c = ratio(loads, fmas);
+        self.slow.sort_by_key(|e| Reverse(e.total_ns));
+        self.slow.truncate(EXEMPLAR_CAP);
+    }
+}
+
+/// `x / y`, or 0 when `y` is not positive.
+fn ratio(x: f64, y: f64) -> f64 {
+    if y > 0.0 {
+        x / y
+    } else {
+        0.0
     }
 }
 
@@ -1898,6 +1459,35 @@ mod tests {
         let r = off.report(empty_runtime(), empty_pool(), ArenaStats::default());
         assert_eq!(r.rate.live_slots, 0);
         assert_eq!(r.rate.req_per_sec, 0.0);
+    }
+
+    #[test]
+    fn absorb_carries_the_process_arena_once_and_the_worst_exemplars() {
+        // Every shard reads the same process-global arena counters.
+        let arena = ArenaStats {
+            hits: 4,
+            misses: 20,
+            alloc_bytes: 11_824,
+        };
+        let exemplar = |trace: u64, total_ns: u64| TraceExemplar {
+            trace,
+            total_ns,
+            label: format!("serve {trace}"),
+            spans: Vec::new(),
+        };
+        let shard = |first: u64| {
+            let mut r = Telemetry::new(true).report(empty_runtime(), empty_pool(), arena);
+            r.slow = (first..first + 3).map(|t| exemplar(t, t * 1000)).collect();
+            r
+        };
+        let mut fleet = shard(1);
+        for first in [10, 20, 30] {
+            fleet.absorb(&shard(first));
+        }
+        assert_eq!(fleet.arena, arena, "arena counted once per process");
+        let worst: Vec<u64> = fleet.slow.iter().map(|e| e.trace).collect();
+        assert_eq!(worst, [32, 31, 30, 22], "worst EXEMPLAR_CAP, worst first");
+        assert_eq!(fleet.slow.len(), EXEMPLAR_CAP);
     }
 
     #[test]

@@ -55,6 +55,7 @@ use std::time::{Duration, Instant};
 use smm_sync::sync::atomic::{AtomicU64, Ordering};
 use smm_sync::sync::thread::JoinHandle;
 
+use smm_core::metrics::{self, Val};
 use smm_core::{
     shape_arg, CallSite, OpenSpan, Phase, Smm, SpanName, StridedBatch, TraceCtx, Tracer,
 };
@@ -100,15 +101,17 @@ pub struct ServeConfig {
     /// admission queue and dispatcher. 1 (the default) is the classic
     /// single-runtime server.
     pub shards: usize,
-    /// Queue depth at which the router spills a new arrival away from
-    /// its home shard to the shallowest one (shape affinity traded for
-    /// load balance; only meaningful with more than one shard).
-    pub spill_depth: usize,
-    /// How long an idle dispatcher waits before re-polling its
-    /// siblings' queues for stealable work (multi-shard only; a
-    /// single-shard dispatcher blocks untimed on its own condvar).
-    pub steal_poll: Duration,
 }
+
+/// Queue depth at which the router spills a new arrival away from its
+/// home shard to the shallowest one (shape affinity traded for load
+/// balance; only meaningful with more than one shard).
+pub const SPILL_DEPTH: usize = 64;
+
+/// How long an idle dispatcher waits before re-polling its siblings'
+/// queues for stealable work (multi-shard only; a single-shard
+/// dispatcher blocks untimed on its own condvar).
+pub const STEAL_POLL: Duration = Duration::from_micros(200);
 
 impl Default for ServeConfig {
     fn default() -> Self {
@@ -118,8 +121,6 @@ impl Default for ServeConfig {
             max_batch: 64,
             prewarm: 64,
             shards: 1,
-            spill_depth: 64,
-            steal_poll: Duration::from_micros(200),
         }
     }
 }
@@ -167,22 +168,27 @@ impl ServeStats {
         }
     }
 
-    /// Field-wise sum with another snapshot (`queue_depth` adds,
-    /// `coalesced_max` takes the max) — how per-shard snapshots fold
-    /// into the fleet view.
+    /// Fold another snapshot in by each counter's declared merge rule
+    /// (`coalesced_max` takes the max, everything else adds) — how
+    /// per-shard snapshots fold into the fleet view.
     pub fn absorb(&mut self, other: &ServeStats) {
-        self.submitted += other.submitted;
-        self.completed += other.completed;
-        self.rejected_queue_full += other.rejected_queue_full;
-        self.rejected_shutdown += other.rejected_shutdown;
-        self.expired += other.expired;
-        self.batches += other.batches;
-        self.coalesced_max = self.coalesced_max.max(other.coalesced_max);
-        self.queue_depth += other.queue_depth;
-        self.prewarmed += other.prewarmed;
-        self.stolen += other.stolen;
-        self.spilled += other.spilled;
+        metrics::fold(self, other);
     }
+}
+
+smm_core::series! { ServeStats;
+    _ submitted Sum (Counter smm_serve_submitted_total) (submitted);
+    _ completed Sum (Counter smm_serve_completed_total) (completed);
+    _ rejected_queue_full Sum (Counter smm_serve_rejected_queue_full_total) (rejected_queue_full);
+    _ rejected_shutdown Sum (Counter smm_serve_rejected_shutdown_total) (rejected_shutdown);
+    _ expired Sum (Counter smm_serve_expired_total) (expired);
+    _ batches Sum (Counter smm_serve_batches_total) (batches);
+    _ coalesced_max Max (Gauge smm_serve_coalesced_max) (coalesced_max);
+    _ queue_depth Sum (Gauge smm_serve_queue_depth) (queue_depth);
+    _ prewarmed Sum (Counter smm_serve_prewarmed_total) (prewarmed);
+    _ stolen Sum (Counter smm_serve_stolen_total) (stolen);
+    _ spilled Sum (Counter smm_serve_spilled_total) (spilled);
+    _ coalescing_factor Derived _ _ => |s| Val::F(s.coalescing_factor());
 }
 
 impl std::fmt::Display for ServeStats {
@@ -347,7 +353,7 @@ impl<S: Scalar> Client<S> {
     ///
     /// Routing (multi-shard): the request's shape hashes to its *home*
     /// shard so one shape's plan and arenas stay hot in one runtime;
-    /// when the home queue is at least [`ServeConfig::spill_depth`]
+    /// when the home queue is at least [`SPILL_DEPTH`]
     /// deep — or turns out to be full — the request spills to the
     /// shallowest shard instead.
     pub fn submit(&self, req: GemmRequest<S>) -> Result<Ticket<S>, Rejected> {
@@ -383,7 +389,7 @@ impl<S: Scalar> Client<S> {
             return Err(Rejected::ShuttingDown);
         }
         let mut spilled = false;
-        if nshards > 1 && shared.queues.depth(target) >= shared.cfg.spill_depth {
+        if nshards > 1 && shared.queues.depth(target) >= SPILL_DEPTH {
             if let Some(alt) = self.shallowest_other(target) {
                 target = alt;
                 spilled = true;
@@ -553,19 +559,6 @@ impl<S: Scalar> ServerBuilder<S> {
     /// cache, arenas, worker pool, queue, and dispatcher.
     pub fn shards(mut self, shards: usize) -> Self {
         self.cfg.shards = shards.max(1);
-        self
-    }
-
-    /// Queue depth at which the router spills arrivals away from
-    /// their home shard (clamped to at least 1).
-    pub fn spill_depth(mut self, depth: usize) -> Self {
-        self.cfg.spill_depth = depth.max(1);
-        self
-    }
-
-    /// Idle-dispatcher steal polling period (multi-shard only).
-    pub fn steal_poll(mut self, period: Duration) -> Self {
-        self.cfg.steal_poll = period;
         self
     }
 
@@ -836,7 +829,7 @@ fn dispatcher_loop<S: Scalar>(smm: &Smm<S>, shared: &ServeShared<S>, shard: usiz
                     return Step::Done(Round::Idle);
                 }
                 waited = true;
-                Step::WaitTimeout(cfg.steal_poll)
+                Step::WaitTimeout(STEAL_POLL)
             } else {
                 // Single shard: nobody to steal from — block untimed
                 // until a push or shutdown notifies.
@@ -1015,24 +1008,18 @@ fn process_group<S: Scalar>(
     drop(reply_span);
     drop(batch_span);
     if let Some(replied_at) = replied_at {
+        // The group's GEMMs were accounted (flops, rate window, shape
+        // row) by the `gemm`/`gemm_batch` call that ran them; the serve
+        // site counts dispatched groups only. The Reply span is recorded
+        // last, so a reader that sees it sees the whole group.
+        if outcome.is_ok() {
+            smm.telemetry().record_site_call(CallSite::Serve);
+        }
         let end = clock::now();
         rec.span_ns(
             Phase::Reply,
             end.saturating_duration_since(replied_at).as_nanos() as u64,
         );
-        if outcome.is_ok() {
-            // Per-shape accounting: dispatch start → replies done, i.e.
-            // the service-side cost excluding the deliberate window.
-            smm.telemetry().record_call(
-                CallSite::Serve,
-                m,
-                n,
-                k,
-                S::BYTES,
-                count,
-                end.saturating_duration_since(dispatch_start).as_nanos() as u64,
-            );
-        }
     }
 }
 

@@ -33,8 +33,10 @@
 //! unlabeled plus per-shard serving/runtime series carrying a
 //! `shard="i"` label.
 
+use std::iter::once;
 use std::sync::Arc;
 
+use smm_core::metrics::{self, Record, Val};
 use smm_core::{Smm, TelemetryReport};
 use smm_kernels::Scalar;
 
@@ -144,24 +146,6 @@ impl<S: Scalar> Server<S> {
     }
 }
 
-fn serve_stats_json(s: &ServeStats) -> String {
-    format!(
-        "{{\"submitted\": {}, \"completed\": {}, \"rejected_queue_full\": {}, \"rejected_shutdown\": {}, \"expired\": {}, \"batches\": {}, \"coalesced_max\": {}, \"queue_depth\": {}, \"prewarmed\": {}, \"stolen\": {}, \"spilled\": {}, \"coalescing_factor\": {:.6}}}",
-        s.submitted,
-        s.completed,
-        s.rejected_queue_full,
-        s.rejected_shutdown,
-        s.expired,
-        s.batches,
-        s.coalesced_max,
-        s.queue_depth,
-        s.prewarmed,
-        s.stolen,
-        s.spilled,
-        s.coalescing_factor()
-    )
-}
-
 impl FleetReport {
     /// Number of shards in the report.
     pub fn shard_count(&self) -> usize {
@@ -172,131 +156,41 @@ impl FleetReport {
     /// of per-shard sections (serving counters + full telemetry), the
     /// fleet-wide `serve` sums, and the merged fleet `telemetry`.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(8192);
-        s.push_str("{\n");
-        s.push_str(&format!("  \"shard_count\": {},\n", self.shards.len()));
-        s.push_str("  \"shards\": [\n");
-        for (i, sh) in self.shards.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"shard\": {}, \"panel\": {}, \"serve\": {}, \"telemetry\": {}}}{}\n",
-                sh.shard,
-                sh.panel,
-                serve_stats_json(&sh.serve),
-                sh.telemetry.to_json().trim_end(),
-                if i + 1 < self.shards.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str(&format!(
-            "  \"serve\": {},\n",
-            serve_stats_json(&self.serve)
-        ));
-        s.push_str(&format!(
-            "  \"telemetry\": {}\n",
-            self.telemetry.to_json().trim_end()
-        ));
-        s.push_str("}\n");
-        s
+        metrics::document(self)
     }
 
     /// Serialize to a Prometheus text exposition: the merged fleet
     /// telemetry (unlabeled, exactly [`TelemetryReport::to_prometheus`]
-    /// of the merge) followed by the serving-counter families, each
-    /// emitted as one contiguous block carrying the fleet value bare
-    /// plus one `shard="i"`-labeled series per shard.
+    /// of the merge), then one block per serving-counter family holding
+    /// the fleet value bare plus one `shard="i"`-labeled series per
+    /// shard, then the per-shard runtime families.
     pub fn to_prometheus(&self) -> String {
         let mut s = self.telemetry.to_prometheus();
-        // One family block per counter: `# TYPE` line, fleet value
-        // bare, then the per-shard labeled series — contiguous, so the
-        // exposition stays well-formed for strict scrapers.
-        let counter = |s: &mut String, name: &str, fleet: u64, per: &dyn Fn(&ServeStats) -> u64| {
-            s.push_str(&format!("# TYPE {name} counter\n{name} {fleet}\n"));
-            for sh in &self.shards {
-                s.push_str(&format!(
-                    "{name}{{shard=\"{}\"}} {}\n",
-                    sh.shard,
-                    per(&sh.serve)
-                ));
-            }
-        };
-        let gauge = |s: &mut String, name: &str, fleet: u64, per: &dyn Fn(&ServeStats) -> u64| {
-            s.push_str(&format!("# TYPE {name} gauge\n{name} {fleet}\n"));
-            for sh in &self.shards {
-                s.push_str(&format!(
-                    "{name}{{shard=\"{}\"}} {}\n",
-                    sh.shard,
-                    per(&sh.serve)
-                ));
-            }
-        };
-        let f = &self.serve;
-        counter(&mut s, "smm_serve_submitted_total", f.submitted, &|s| {
-            s.submitted
-        });
-        counter(&mut s, "smm_serve_completed_total", f.completed, &|s| {
-            s.completed
-        });
-        counter(
-            &mut s,
-            "smm_serve_rejected_queue_full_total",
-            f.rejected_queue_full,
-            &|s| s.rejected_queue_full,
-        );
-        counter(
-            &mut s,
-            "smm_serve_rejected_shutdown_total",
-            f.rejected_shutdown,
-            &|s| s.rejected_shutdown,
-        );
-        counter(&mut s, "smm_serve_expired_total", f.expired, &|s| s.expired);
-        counter(&mut s, "smm_serve_batches_total", f.batches, &|s| s.batches);
-        counter(&mut s, "smm_serve_prewarmed_total", f.prewarmed, &|s| {
-            s.prewarmed
-        });
-        counter(&mut s, "smm_serve_stolen_total", f.stolen, &|s| s.stolen);
-        counter(&mut s, "smm_serve_spilled_total", f.spilled, &|s| s.spilled);
-        gauge(
-            &mut s,
-            "smm_serve_queue_depth",
-            f.queue_depth as u64,
-            &|s| s.queue_depth as u64,
-        );
-        gauge(&mut s, "smm_serve_coalesced_max", f.coalesced_max, &|s| {
-            s.coalesced_max
-        });
-        // Per-shard runtime series: enough to see skew (panel
-        // placement, useful work, plan locality) without duplicating
-        // the whole telemetry exposition per shard.
-        s.push_str("# TYPE smm_shard_panel gauge\n");
-        for sh in &self.shards {
-            s.push_str(&format!(
-                "smm_shard_panel{{shard=\"{}\"}} {}\n",
-                sh.shard, sh.panel
-            ));
-        }
-        s.push_str("# TYPE smm_shard_flops_total counter\n");
-        for sh in &self.shards {
-            s.push_str(&format!(
-                "smm_shard_flops_total{{shard=\"{}\"}} {}\n",
-                sh.shard, sh.telemetry.flops
-            ));
-        }
-        s.push_str("# TYPE smm_shard_plan_cache_hits_total counter\n");
-        for sh in &self.shards {
-            s.push_str(&format!(
-                "smm_shard_plan_cache_hits_total{{shard=\"{}\"}} {}\n",
-                sh.shard, sh.telemetry.runtime.plan_hits
-            ));
-        }
-        s.push_str("# TYPE smm_shard_tuner_db_hits_total counter\n");
-        for sh in &self.shards {
-            s.push_str(&format!(
-                "smm_shard_tuner_db_hits_total{{shard=\"{}\"}} {}\n",
-                sh.shard, sh.telemetry.tuner.db_hits
-            ));
-        }
+        let per_shard = self.shards.iter().map(|sh| (sh.labels(), &sh.serve));
+        metrics::prometheus(&mut s, once((String::new(), &self.serve)).chain(per_shard));
+        metrics::prometheus(&mut s, self.shards.iter().map(|sh| (sh.labels(), sh)));
         s
     }
+}
+
+smm_core::series! { FleetReport;
+    _ shard_count Derived _ _ => |f| Val::U(f.shards.len() as u64);
+    _ shards Key _ (shards);
+    _ serve Derived _ _ => |f| Val::J(metrics::object(&f.serve));
+    _ telemetry Derived _ _ => |f| Val::J(metrics::document(&f.telemetry).trim_end().to_string());
+}
+
+// Per-shard runtime series: enough to see skew (panel placement, useful
+// work, plan locality) without repeating the whole telemetry exposition
+// per shard.
+smm_core::series! { ShardSection: labels |s: &ShardSection| format!("shard=\"{}\"", s.shard);
+    _ shard Key _ (shard);
+    _ panel Key (Gauge smm_shard_panel) (panel);
+    _ serve Derived _ _ => |s| Val::J(metrics::object(&s.serve));
+    _ telemetry Derived _ _ => |s| Val::J(metrics::document(&s.telemetry).trim_end().to_string());
+    _ _ Derived (Counter smm_shard_flops_total) _ => |s| Val::U(s.telemetry.flops);
+    _ _ Derived (Counter smm_shard_plan_cache_hits_total) _ => |s| Val::U(s.telemetry.runtime.plan_hits);
+    _ _ Derived (Counter smm_shard_tuner_db_hits_total) _ => |s| Val::U(s.telemetry.tuner.db_hits);
 }
 
 impl std::fmt::Display for FleetReport {

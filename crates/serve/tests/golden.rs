@@ -8,43 +8,45 @@
 //! of family blocks: each block (its `# HELP`/`# TYPE` header and its
 //! samples) must match byte for byte, in any block order.
 //!
-//! A deliberate format change regenerates the files with
-//! `SMM_BLESS_GOLDENS=1 cargo test -p smm-serve --test golden`; the
-//! diff of `crates/serve/tests/golden/` then shows the change.
+//! On a mismatch the test writes what it rendered to
+//! `target/tmp/golden/<name>`: a deliberate format change is adopted by
+//! copying that file over the golden, and the diff of
+//! `crates/serve/tests/golden/` then shows the change.
 
 use std::path::PathBuf;
 
 use smm_core::telemetry::NUM_PHASES;
 use smm_core::{
     AssembledSpan, CallSite, LatencyHistogram, Phase, PhaseReport, PoolStats, RateReport,
-    RuntimeStats, ShapeReport, SiteBreakdown, SpanName, TelemetryReport, TraceExemplar,
-    TunerStats,
+    RuntimeStats, ShapeReport, SiteBreakdown, SpanName, TelemetryReport, TraceExemplar, TunerStats,
 };
 use smm_gemm::arena::ArenaStats;
 use smm_serve::{FleetReport, ServeStats, ShardSection};
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join(name)
-}
-
-/// Compare `got` with the golden file `name` (or rewrite it when
-/// blessing). `normalize` maps both sides to the compared form.
+/// Compare `got` with the golden file `name`; `normalize` maps both to
+/// the compared units. A mismatch leaves the rendering beside the test's
+/// scratch files (see the module docs).
 fn check(name: &str, got: &str, normalize: fn(&str) -> Vec<String>) {
-    let path = golden_path(name);
-    if std::env::var_os("SMM_BLESS_GOLDENS").is_some() {
-        std::fs::write(&path, got).expect("write golden");
-        return;
-    }
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
     let want = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
     let (g, w) = (normalize(got), normalize(&want));
-    for (i, (gl, wl)) in g.iter().zip(&w).enumerate() {
-        assert_eq!(gl, wl, "{name}: first difference at unit {i}");
+    if g == w {
+        return;
     }
-    assert_eq!(g.len(), w.len(), "{name}: unit count differs");
+    let actual = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("golden");
+    std::fs::create_dir_all(&actual).expect("scratch dir");
+    std::fs::write(actual.join(name), got).expect("write rendering");
+    let at = g.iter().zip(&w).take_while(|(a, b)| a == b).count();
+    panic!(
+        "{name} differs from its golden at unit {at}:\n  got:  {:?}\n  want: {:?}\n\
+         rendering written to {}",
+        g.get(at),
+        w.get(at),
+        actual.join(name).display()
+    );
 }
 
 /// Byte-exact comparison, line by line (trailing newline included).
@@ -201,7 +203,11 @@ fn report() -> TelemetryReport {
             &[700, 1_400],
         ]),
         sites: vec![
-            site(CallSite::Gemm, 40, [2_595, 1_050, 5_810, 18_750, 0, 0, 0, 0, 0]),
+            site(
+                CallSite::Gemm,
+                40,
+                [2_595, 1_050, 5_810, 18_750, 0, 0, 0, 0, 0],
+            ),
             site(CallSite::GemmBatch, 9, [0, 0, 0, 4_000, 0, 310, 0, 0, 0]),
             site(CallSite::Direct, 2, [0, 0, 0, 900, 0, 0, 0, 0, 0]),
             site(CallSite::Serve, 3, [0, 0, 0, 0, 0, 0, 1_065_000, 0, 2_100]),
@@ -273,7 +279,11 @@ fn report_b() -> TelemetryReport {
         site(CallSite::Gemm, 12, [130, 300, 0, 4_500, 0, 0, 0, 0, 0]),
         site(CallSite::GemmBatch, 0, [0; NUM_PHASES]),
         site(CallSite::Direct, 0, [0; NUM_PHASES]),
-        site(CallSite::Serve, 2, [0, 0, 0, 0, 5_000, 90, 30_000, 100_000, 500]),
+        site(
+            CallSite::Serve,
+            2,
+            [0, 0, 0, 0, 5_000, 90, 30_000, 100_000, 500],
+        ),
     ];
     r.shapes = vec![
         shape(8, 8, 8, 40, 180_000, 12.8),
@@ -386,7 +396,11 @@ fn telemetry_report_without_rows_matches_goldens() {
     let r = report_without_rows();
     check("telemetry_without_rows.txt", &r.to_string(), exact);
     check("telemetry_without_rows.json", &r.to_json(), exact);
-    check("telemetry_without_rows.prom", &r.to_prometheus(), prom_blocks);
+    check(
+        "telemetry_without_rows.prom",
+        &r.to_prometheus(),
+        prom_blocks,
+    );
 }
 
 #[test]

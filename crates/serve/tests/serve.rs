@@ -5,7 +5,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use smm_core::{Phase, Smm};
+use smm_core::{CallSite, Phase, Smm};
 use smm_gemm::gemm_naive;
 use smm_gemm::matrix::{Mat, MatMut, MatRef};
 use smm_serve::{GemmRequest, Rejected, Server, TcpClient, TcpServer};
@@ -569,51 +569,40 @@ fn traced_serve_links_member_spans_under_one_coalesced_batch() {
 }
 
 #[test]
-fn stats_opcode_matches_in_process_report() {
-    use smm_serve::wire::{STATS_JSON, STATS_PROMETHEUS, STATS_TEXT};
-
+fn served_gemms_are_counted_once() {
+    // The library call that runs a served group accounts its GEMMs
+    // (flops, rate window, shape row); the serve site counts only the
+    // dispatched groups.
     let smm = Arc::new(Smm::<f32>::builder().threads(1).telemetry(true).build());
     let server = Server::<f32>::builder()
         .smm(Arc::clone(&smm))
         .coalesce_window(Duration::ZERO)
         .build();
-    let tcp = TcpServer::bind(server, ("127.0.0.1", 0)).unwrap();
-    let mut client = TcpClient::connect(tcp.local_addr()).unwrap();
+    let client = server.client();
     for i in 0..6u64 {
-        let req = random_request(8, 8, 8, 700 + i);
+        let req = random_request(8, 8, 8, 800 + i);
         let want = oracle(&req);
-        assert_close(&client.call(&req).unwrap(), &want, "pre-stats traffic");
+        assert_close(
+            &client.submit(req).unwrap().wait().unwrap(),
+            &want,
+            "served",
+        );
     }
-    // The dispatcher records its Reply phase just after fulfilling the
-    // ticket, so give it a beat before comparing snapshots.
-    std::thread::sleep(Duration::from_millis(100));
+    let stats = server.shutdown();
 
-    // The scraped JSON must equal the in-process report except for the
-    // rate window, whose numbers move with the scrape time itself.
-    let strip_rate = |json: &str| -> String {
-        let start = json.find("\"rate\":").expect("rate object present");
-        let end = start + json[start..].find('}').expect("rate object closes") + 1;
-        format!("{}{}", &json[..start], &json[end..])
-    };
-    let scraped = client.stats(STATS_JSON).unwrap();
-    let local = smm.stats_report().to_json();
+    let report = smm.stats_report();
     assert_eq!(
-        strip_rate(&scraped),
-        strip_rate(&local),
-        "STATS scrape diverged from Smm::stats_report"
+        report.flops,
+        6 * 2 * 8 * 8 * 8,
+        "served flops counted twice?"
     );
-
-    let text = client.stats(STATS_TEXT).unwrap();
-    assert!(text.contains("rate window"), "text scrape: {text}");
-    assert!(text.contains("serve"), "text scrape misses serve: {text}");
-    let prom = client.stats(STATS_PROMETHEUS).unwrap();
-    assert!(
-        prom.contains("smm_phase_latency_ns_bucket"),
-        "prometheus scrape: {prom}"
-    );
-    assert!(prom.contains("smm_rate_req_per_sec"), "prometheus: {prom}");
-
-    tcp.shutdown();
+    let shape = report.shapes.iter().find(|s| (s.m, s.n, s.k) == (8, 8, 8));
+    assert_eq!(shape.expect("8x8x8 row").calls, 6, "{:?}", report.shapes);
+    assert_eq!(report.shapes.len(), 1, "{:?}", report.shapes);
+    let library = report.site(CallSite::Gemm).calls + report.site(CallSite::GemmBatch).calls;
+    assert_eq!(library, stats.batches, "one library call per group");
+    assert_eq!(report.site(CallSite::Serve).calls, stats.batches);
+    assert_eq!(stats.completed, 6);
 }
 
 #[test]
