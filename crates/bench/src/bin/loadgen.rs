@@ -621,7 +621,6 @@ fn cold_start_smm(opts: &Options) -> Smm<f32> {
         None => builder
             .plan_db_handle(PlanDb::new(opts.isa))
             .expect("empty db matches the configured ISA")
-            .online_refine(true)
             .build(),
     }
 }

@@ -265,8 +265,7 @@ impl<S: Scalar> Smm<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smm_gemm::gemm_naive;
-    use smm_gemm::matrix::Mat;
+    use smm_gemm::check_gemm_bound;
 
     fn fill(n: usize, seed: u64) -> Vec<f32> {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -280,6 +279,31 @@ mod tests {
             .collect()
     }
 
+    /// Hold entry `i` of a strided result `c` (computed from `c0`) to
+    /// the oracle within the derived componentwise bound.
+    #[allow(clippy::too_many_arguments)]
+    fn entry_within_bound(
+        d: &StridedBatch,
+        i: usize,
+        alpha: f32,
+        a: &[f32],
+        b: &[f32],
+        beta: f32,
+        c0: &[f32],
+        c: &[f32],
+    ) {
+        let (at, bt, ct) = (i * d.stride_a, i * d.stride_b, i * d.stride_c);
+        check_gemm_bound(
+            alpha,
+            MatRef::from_slice(&a[at..], d.m, d.k, d.lda),
+            MatRef::from_slice(&b[bt..], d.k, d.n, d.ldb),
+            beta,
+            MatRef::from_slice(&c0[ct..], d.m, d.n, d.ldc),
+            MatRef::from_slice(&c[ct..], d.m, d.n, d.ldc),
+        )
+        .unwrap_or_else(|v| panic!("entry {i} of {}x{}x{}: {v}", d.m, d.n, d.k));
+    }
+
     fn check_batch(desc: StridedBatch, threads: usize) {
         let a = fill((desc.batch.max(1)) * desc.stride_a + desc.lda * desc.k, 1);
         let b = fill((desc.batch.max(1)) * desc.stride_b + desc.ldb * desc.n, 2);
@@ -288,22 +312,7 @@ mod tests {
         let smm = Smm::<f32>::builder().threads(threads).build();
         smm.gemm_batch(&desc, 1.5, &a, &b, 0.5, &mut c).unwrap();
         for i in 0..desc.batch {
-            let ar = MatRef::from_slice(&a[i * desc.stride_a..], desc.m, desc.k, desc.lda);
-            let br = MatRef::from_slice(&b[i * desc.stride_b..], desc.k, desc.n, desc.ldb);
-            let mut want = Mat::<f32>::from_fn(desc.m, desc.n, |r, col| {
-                c0[i * desc.stride_c + col * desc.ldc + r]
-            });
-            gemm_naive(1.5, ar, br, 0.5, want.as_mut());
-            for col in 0..desc.n {
-                for r in 0..desc.m {
-                    let got = c[i * desc.stride_c + col * desc.ldc + r];
-                    assert!(
-                        (got - want[(r, col)]).abs() < 1e-3,
-                        "entry {i} ({r},{col}): {got} vs {}",
-                        want[(r, col)]
-                    );
-                }
-            }
+            entry_within_bound(&desc, i, 1.5, &a, &b, 0.5, &c0, &c);
         }
     }
 
@@ -464,17 +473,12 @@ mod tests {
         let d = StridedBatch::dense(6, 6, 6, 9);
         let a = fill(d.batch * d.stride_a, 1);
         let b = fill(d.batch * d.stride_b, 2);
-        let mut c = vec![0.0f32; d.batch * d.stride_c];
+        let c0 = vec![0.0f32; d.batch * d.stride_c];
+        let mut c = c0.clone();
         let smm = Smm::<f32>::builder().threads(4).build();
         smm.gemm_batch(&d, 1.0, &a, &b, 0.0, &mut c).unwrap();
-        let ar = MatRef::from_slice(&a, d.m, d.k, d.lda);
-        let br = MatRef::from_slice(&b, d.k, d.n, d.ldb);
-        let mut want = Mat::<f32>::zeros(d.m, d.n);
-        gemm_naive(1.0, ar, br, 0.0, want.as_mut());
-        for col in 0..d.n {
-            for r in 0..d.m {
-                assert!((c[col * d.ldc + r] - want[(r, col)]).abs() < 1e-3);
-            }
+        for i in 0..d.batch {
+            entry_within_bound(&d, i, 1.0, &a, &b, 0.0, &c0, &c);
         }
     }
 
@@ -499,8 +503,8 @@ mod tests {
 
     #[test]
     fn batch_of_one_takes_the_fast_path_on_a_threaded_pool() {
-        // A single-entry batch must not fan out across workers and must
-        // agree with both the naive oracle and plain gemm.
+        // A single-entry batch must not fan out across workers, and it
+        // and plain gemm must each hold to the oracle's bound.
         let d = StridedBatch::dense(7, 5, 9, 1);
         let a = fill(d.stride_a, 21);
         let b = fill(d.stride_b, 22);
@@ -508,14 +512,7 @@ mod tests {
         let smm = Smm::<f32>::builder().threads(4).build();
         let mut c_batch = c0.clone();
         smm.gemm_batch(&d, 2.0, &a, &b, 0.5, &mut c_batch).unwrap();
-        let mut want = Mat::<f32>::from_fn(d.m, d.n, |r, col| c0[col * d.ldc + r]);
-        gemm_naive(
-            2.0,
-            MatRef::from_slice(&a, d.m, d.k, d.lda),
-            MatRef::from_slice(&b, d.k, d.n, d.ldb),
-            0.5,
-            want.as_mut(),
-        );
+        entry_within_bound(&d, 0, 2.0, &a, &b, 0.5, &c0, &c_batch);
         let mut c_gemm = c0.clone();
         smm.gemm(
             2.0,
@@ -524,21 +521,7 @@ mod tests {
             0.5,
             MatMut::from_slice(&mut c_gemm, d.m, d.n, d.ldc),
         );
-        for col in 0..d.n {
-            for r in 0..d.m {
-                let got = c_batch[col * d.ldc + r];
-                assert!(
-                    (got - want[(r, col)]).abs() < 1e-3,
-                    "vs naive at ({r},{col}): {got} vs {}",
-                    want[(r, col)]
-                );
-                let via_gemm = c_gemm[col * d.ldc + r];
-                assert!(
-                    (got - via_gemm).abs() < 1e-3,
-                    "vs gemm at ({r},{col}): {got} vs {via_gemm}"
-                );
-            }
-        }
+        entry_within_bound(&d, 0, 2.0, &a, &b, 0.5, &c0, &c_gemm);
     }
 
     #[test]

@@ -343,14 +343,18 @@ mod tests {
     /// Execute a plan and hold the result to the oracle within the
     /// derived componentwise bound.
     fn check(m: usize, n: usize, k: usize, cfg: &PlanConfig, alpha: f32, beta: f32) {
-        let plan = SmmPlan::build(m, n, k, cfg);
+        check_plan(&SmmPlan::build(m, n, k, cfg), alpha, beta);
+    }
+
+    fn check_plan(plan: &SmmPlan, alpha: f32, beta: f32) {
+        let (m, n, k) = (plan.m, plan.n, plan.k);
         let a = Mat::<f32>::random(m, k, 21);
         let b = Mat::<f32>::random(k, n, 22);
         let c0 = Mat::<f32>::random(m, n, 23);
         let mut c = c0.clone();
-        execute(&plan, alpha, a.as_ref(), b.as_ref(), beta, c.as_mut());
+        execute(plan, alpha, a.as_ref(), b.as_ref(), beta, c.as_mut());
         check_gemm_bound(alpha, a.as_ref(), b.as_ref(), beta, c0.as_ref(), c.as_ref())
-            .unwrap_or_else(|v| panic!("{m}x{n}x{k} cfg {cfg:?}: {v}"));
+            .unwrap_or_else(|v| panic!("{m}x{n}x{k} plan {plan:?}: {v}"));
     }
 
     #[test]
@@ -382,13 +386,15 @@ mod tests {
 
     #[test]
     fn edge_packing_toggle_is_correct() {
+        let cfg = PlanConfig {
+            pack_b: Some(false),
+            ..Default::default()
+        };
+        let mut plan = SmmPlan::build(16, 13, 8, &cfg);
+        assert!(plan.pack_edge_b, "plans pack edge slivers (Fig. 8)");
         for peb in [false, true] {
-            let cfg = PlanConfig {
-                pack_b: Some(false),
-                pack_edge_b: peb,
-                ..Default::default()
-            };
-            check(16, 13, 8, &cfg, 1.0, 0.0);
+            plan.pack_edge_b = peb;
+            check_plan(&plan, 1.0, 0.0);
         }
     }
 

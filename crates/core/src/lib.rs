@@ -70,4 +70,4 @@ pub use trace::{
     chrome_trace_json, shape_arg, AssembledSpan, OpenSpan, SpanGuard, SpanName, TraceCtx,
     TraceExemplar, Tracer,
 };
-pub use tune::{candidate_configs, tune_shape, Autotuner, PlanSource, TunedPlan, TunerStats};
+pub use tune::{candidate_configs, tune_shape, PlanSource, TunedPlan, TunerStats};

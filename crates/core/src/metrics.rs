@@ -398,7 +398,7 @@ series! { TelemetryReport;
     rate gflops_per_sec Sum (Gauge smm_rate_gflops_per_sec) (rate.gflops_per_sec);
     rate mean_ns Mean _ (rate.mean_ns / rate.req_per_sec) => |r| Val::U(r.rate.mean_ns);
     rate p99_now_ns Max (Gauge smm_rate_p99_now_ns) (rate.p99_now_ns);
-    rate p99_trend_ns_per_sec Sum (Gauge smm_rate_p99_trend_ns_per_sec) (rate.p99_trend_ns_per_sec);
+    rate p99_trend_ns_per_sec Max (Gauge smm_rate_p99_trend_ns_per_sec) (rate.p99_trend_ns_per_sec);
     rate live_slots Max _ (rate.live_slots);
     _ slow Sum _ (slow);
     _ _ Derived (Gauge smm_slow_exemplars) _ => |r| Val::U(r.slow.len() as u64);

@@ -10,12 +10,13 @@
 //! [`crate::smm::Smm`], so repeated SMMs — the DNN/block-sparse/ABFT
 //! pattern that motivates the paper — pay planning once.
 
-use smm_gemm::pool::TaskPool;
 use smm_kernels::registry::{decompose_greedy, TileSpan};
 use smm_model::parallel::{select_grid, ThreadGrid};
 use smm_model::{p2c, CacheSizes, KernelShape, VectorIsa};
 
-/// Tunables for plan generation and execution.
+/// Tunables for plan generation: the caller's thread budget, the
+/// target register file, and the overrides the tuner searches over.
+/// Everything else a plan holds is derived from the shape.
 #[derive(Debug, Clone)]
 pub struct PlanConfig {
     /// Maximum threads the plan may use.
@@ -26,17 +27,6 @@ pub struct PlanConfig {
     pub pack_b: Option<bool>,
     /// Force a micro-kernel shape (None = adaptive selection).
     pub kernel: Option<KernelShape>,
-    /// Pack N-edge slivers even when `B` is otherwise unpacked
-    /// (the Fig. 8 optimization). On by default.
-    pub pack_edge_b: bool,
-    /// Minimum reuse count (m-panels per B sliver) for B packing to pay.
-    pub pack_b_reuse: usize,
-    /// Minimum reuse count (n-slivers per A panel) for A packing to pay.
-    pub pack_a_reuse: usize,
-    /// Worker pool that executes multi-threaded plans (None = the
-    /// process-wide [`TaskPool::global`] pool). Thread-count decisions
-    /// stay model-driven; the pool is only the execution mechanism.
-    pub pool: Option<TaskPool>,
     /// Vector ISA the plan targets: drives kernel selection, the
     /// chain-bound efficiency model, edge-tile decomposition (greedy
     /// power-of-two on NEON, a single predicated remainder tile on
@@ -51,14 +41,16 @@ impl Default for PlanConfig {
             pack_a: None,
             pack_b: None,
             kernel: None,
-            pack_edge_b: true,
-            pack_b_reuse: 8,
-            pack_a_reuse: 8,
-            pool: None,
             isa: VectorIsa::neon128(),
         }
     }
 }
+
+/// Minimum reuse count (m-panels per B sliver) for B packing to pay.
+const PACK_B_REUSE: usize = 8;
+
+/// Minimum reuse count (n-slivers per A panel) for A packing to pay.
+const PACK_A_REUSE: usize = 8;
 
 /// Candidate register tiles for adaptive selection, all Eq. 4 feasible
 /// on NEON-128 (and therefore on every wider ISA).
@@ -222,10 +214,10 @@ impl SmmPlan {
         // reuse — panels per m-way, slivers per n-way — is what counts.
         let panels_per_thread = m_tiles.len().div_ceil(grid.m_ways());
         let slivers_per_thread = n_tiles.len().div_ceil(grid.n_ways());
-        let pack_b = cfg.pack_b.unwrap_or(panels_per_thread >= cfg.pack_b_reuse);
+        let pack_b = cfg.pack_b.unwrap_or(panels_per_thread >= PACK_B_REUSE);
         let pack_a = cfg
             .pack_a
-            .unwrap_or(slivers_per_thread >= cfg.pack_a_reuse && m * k * 4 > l1);
+            .unwrap_or(slivers_per_thread >= PACK_A_REUSE && m * k * 4 > l1);
 
         SmmPlan {
             m,
@@ -234,7 +226,8 @@ impl SmmPlan {
             kernel,
             pack_a,
             pack_b,
-            pack_edge_b: cfg.pack_edge_b,
+            // Fig. 8: edge slivers are packed even when B is not.
+            pack_edge_b: true,
             kc,
             m_tiles,
             n_tiles,

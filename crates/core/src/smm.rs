@@ -27,9 +27,12 @@ pub const DEFAULT_SLOW_TRACE_THRESHOLD: Duration = Duration::from_millis(10);
 /// execution, a shape-tuned micro-kernel set with Fig. 8 edge packing,
 /// plan generation in lieu of JIT code generation, and run-time
 /// multi-dimensional parallelization. Plans are memoized in a sharded
-/// read-mostly cache and multi-threaded execution runs on a persistent
-/// worker pool, so the steady-state call path allocates no threads and
-/// takes only a shared lock (see [`crate::runtime`]).
+/// read-mostly cache and multi-threaded execution runs on the
+/// process-wide [`TaskPool::global`] pool, so the steady-state call
+/// path allocates no threads and takes only a shared lock (see
+/// [`crate::runtime`]). Every plan decision — tile, packing, thread
+/// grid — comes from the shape, the target register file and the
+/// thread ceiling; none has a setting of its own.
 ///
 /// # Example
 ///
@@ -51,7 +54,6 @@ pub struct Smm<S: Scalar> {
     cache: ShardedPlanCache,
     source: PlanSource,
     persist_on_drop: bool,
-    pool: TaskPool,
     telemetry: Telemetry,
     pub(crate) tracer: Tracer,
     _elem: PhantomData<S>,
@@ -65,9 +67,11 @@ pub struct Smm<S: Scalar> {
 /// let smm = Smm::<f32>::builder()
 ///     .threads(4)
 ///     .cache_capacity(256)
-///     .pack_a(Some(false))
 ///     .build();
 /// assert_eq!(smm.config().max_threads, 4);
+/// // Tile, packing and thread grid come from the shape.
+/// let plan = smm.plan(64, 64, 64);
+/// assert!(plan.threads() <= 4);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SmmBuilder<S: Scalar> {
@@ -78,8 +82,6 @@ pub struct SmmBuilder<S: Scalar> {
     slow_trace_threshold: Duration,
     rate_window: Duration,
     plan_db: Option<(PlanDb, Option<PathBuf>)>,
-    nn_threshold: Option<f64>,
-    online_refine: bool,
     persist_on_drop: bool,
     _elem: PhantomData<S>,
 }
@@ -108,8 +110,6 @@ impl<S: Scalar> SmmBuilder<S> {
             slow_trace_threshold: DEFAULT_SLOW_TRACE_THRESHOLD,
             rate_window: DEFAULT_RATE_WINDOW,
             plan_db: None,
-            nn_threshold: None,
-            online_refine: true,
             persist_on_drop: true,
             _elem: PhantomData,
         }
@@ -128,32 +128,6 @@ impl<S: Scalar> SmmBuilder<S> {
         self
     }
 
-    /// Force the `A`-packing decision (`None` = model-driven).
-    pub fn pack_a(mut self, pack: Option<bool>) -> Self {
-        self.cfg.pack_a = pack;
-        self
-    }
-
-    /// Force the `B`-packing decision (`None` = model-driven).
-    pub fn pack_b(mut self, pack: Option<bool>) -> Self {
-        self.cfg.pack_b = pack;
-        self
-    }
-
-    /// Toggle packing of N-edge slivers when `B` is otherwise unpacked
-    /// (the Fig. 8 optimization; on by default).
-    pub fn pack_edge_b(mut self, pack: bool) -> Self {
-        self.cfg.pack_edge_b = pack;
-        self
-    }
-
-    /// Execute on this pool instead of the process-wide
-    /// [`TaskPool::global`] pool.
-    pub fn pool(mut self, pool: TaskPool) -> Self {
-        self.cfg.pool = Some(pool);
-        self
-    }
-
     /// Target vector ISA for plans. The default is the register file
     /// that executes them: for `f32`,
     /// [`VectorIsa::host`](smm_model::VectorIsa::host) — AVX-512 or
@@ -165,13 +139,6 @@ impl<S: Scalar> SmmBuilder<S> {
     /// tiles.
     pub fn isa(mut self, isa: smm_model::VectorIsa) -> Self {
         self.cfg.isa = isa;
-        self
-    }
-
-    /// Replace the whole [`PlanConfig`] (retains the builder's cache
-    /// capacity).
-    pub fn config(mut self, cfg: PlanConfig) -> Self {
-        self.cfg = cfg;
         self
     }
 
@@ -210,8 +177,9 @@ impl<S: Scalar> SmmBuilder<S> {
 
     /// Load a persistent plan database from `path` (the output of
     /// `smm-tune sweep`). Plan-cache misses are then answered from the
-    /// database — exact hit, else nearest-neighbor match, else online
-    /// refinement — and refinements are persisted back to `path` on
+    /// database — exact hit, else nearest-neighbor match within
+    /// [`smm_tune::DEFAULT_NN_THRESHOLD`], else online refinement — and
+    /// refinements are persisted back to `path` on
     /// [`Smm::flush_plan_db`] or drop.
     ///
     /// The database must have been swept for this builder's ISA, so
@@ -239,21 +207,6 @@ impl<S: Scalar> SmmBuilder<S> {
         Ok(self)
     }
 
-    /// Acceptance threshold for nearest-neighbor matches, in log-space
-    /// shape distance (default [`smm_tune::DEFAULT_NN_THRESHOLD`]).
-    pub fn nn_threshold(mut self, threshold: f64) -> Self {
-        self.nn_threshold = Some(threshold);
-        self
-    }
-
-    /// Whether double misses (no exact hit, no NN match) pay for full
-    /// online tuning and record the result as a persistable delta
-    /// (default true). When false they build the plain heuristic plan.
-    pub fn online_refine(mut self, refine: bool) -> Self {
-        self.online_refine = refine;
-        self
-    }
-
     /// Whether dropping the instance best-effort flushes pending
     /// refinement deltas to the database file (default true; only
     /// meaningful with a path-backed [`SmmBuilder::plan_db`]).
@@ -264,12 +217,7 @@ impl<S: Scalar> SmmBuilder<S> {
 
     /// Construct the [`Smm`] instance.
     pub fn build(self) -> Smm<S> {
-        let pool = self
-            .cfg
-            .pool
-            .clone()
-            .unwrap_or_else(|| TaskPool::global().clone());
-        let mut source = match self.plan_db {
+        let source = match self.plan_db {
             Some((db, path)) => {
                 // plan_db()/plan_db_handle() validated against the ISA
                 // configured at that point; a later .isa() call would
@@ -284,16 +232,11 @@ impl<S: Scalar> SmmBuilder<S> {
             }
             None => PlanSource::untuned(),
         };
-        if let Some(t) = self.nn_threshold {
-            source.set_nn_threshold(t);
-        }
-        source.set_refine_online(self.online_refine);
         Smm {
             cfg: self.cfg,
             cache: ShardedPlanCache::new(self.cache_capacity),
             source,
             persist_on_drop: self.persist_on_drop,
-            pool,
             telemetry: Telemetry::with_rate_window(self.telemetry, self.rate_window),
             tracer: if self.tracing {
                 Tracer::new(self.slow_trace_threshold)
@@ -321,9 +264,10 @@ impl<S: Scalar> Smm<S> {
         &self.cfg
     }
 
-    /// The pool executing this instance's multi-threaded plans.
+    /// The pool executing this instance's multi-threaded plans: the
+    /// process-wide [`TaskPool::global`] pool.
     pub fn pool(&self) -> &TaskPool {
-        &self.pool
+        TaskPool::global()
     }
 
     /// Get (building and caching if needed) the plan for a shape.
@@ -365,7 +309,7 @@ impl<S: Scalar> Smm<S> {
     /// Runtime counters: plan-cache hits/misses/evictions, residency,
     /// and pool width.
     pub fn stats(&self) -> RuntimeStats {
-        self.cache.stats(self.pool.workers())
+        self.cache.stats(self.pool().workers())
     }
 
     /// This instance's telemetry registry.
@@ -383,7 +327,7 @@ impl<S: Scalar> Smm<S> {
     pub fn stats_report(&self) -> TelemetryReport {
         let mut report =
             self.telemetry
-                .report(self.stats(), self.pool.stats(), smm_gemm::arena::stats());
+                .report(self.stats(), self.pool().stats(), smm_gemm::arena::stats());
         report.slow = self.tracer.exemplars();
         report.tuner = self.source.stats();
         report
@@ -424,7 +368,7 @@ impl<S: Scalar> Smm<S> {
         let t0 = rec.now();
         let plan = self.plan(m, n, k);
         rec.span_since(Phase::PlanLookup, t0);
-        let split = Some((&self.pool, &self.tracer));
+        let split = Some((self.pool(), &self.tracer));
         execute_with(split, &plan, rec, alpha, a, b, beta, c);
         if let Some(t0) = t0 {
             self.telemetry.record_call(
@@ -462,8 +406,24 @@ impl<S: Scalar> Drop for Smm<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smm_gemm::gemm_naive;
+    use smm_gemm::check_gemm_bound;
     use smm_gemm::matrix::Mat;
+
+    /// Run `smm.gemm` on a copy of `c0` and hold the result to the
+    /// oracle within the derived componentwise bound.
+    fn gemm_within_bound<S: Scalar>(
+        smm: &Smm<S>,
+        alpha: S,
+        a: &Mat<S>,
+        b: &Mat<S>,
+        beta: S,
+        c0: &Mat<S>,
+    ) {
+        let mut c = c0.clone();
+        smm.gemm(alpha, a.as_ref(), b.as_ref(), beta, c.as_mut());
+        check_gemm_bound(alpha, a.as_ref(), b.as_ref(), beta, c0.as_ref(), c.as_ref())
+            .unwrap_or_else(|v| panic!("{}x{}x{}: {v}", a.rows(), b.cols(), a.cols()));
+    }
 
     #[test]
     fn gemm_matches_naive_over_shape_sweep() {
@@ -477,11 +437,8 @@ mod tests {
         ] {
             let a = Mat::<f32>::random(m, k, 31);
             let b = Mat::<f32>::random(k, n, 32);
-            let mut c = Mat::<f32>::random(m, n, 33);
-            let mut c_ref = c.clone();
-            smm.gemm(1.0, a.as_ref(), b.as_ref(), 1.0, c.as_mut());
-            gemm_naive(1.0, a.as_ref(), b.as_ref(), 1.0, c_ref.as_mut());
-            assert!(c.max_abs_diff(&c_ref) < 1e-3, "{m}x{n}x{k}");
+            let c0 = Mat::<f32>::random(m, n, 33);
+            gemm_within_bound(&smm, 1.0, &a, &b, 1.0, &c0);
         }
     }
 
@@ -518,11 +475,7 @@ mod tests {
         let smm = Smm::<f32>::builder().threads(8).build();
         let a = Mat::<f32>::random(64, 32, 41);
         let b = Mat::<f32>::random(32, 96, 42);
-        let mut c = Mat::<f32>::zeros(64, 96);
-        let mut c_ref = c.clone();
-        smm.gemm(1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
-        gemm_naive(1.0, a.as_ref(), b.as_ref(), 0.0, c_ref.as_mut());
-        assert!(c.max_abs_diff(&c_ref) < 1e-3);
+        gemm_within_bound(&smm, 1.0, &a, &b, 0.0, &Mat::zeros(64, 96));
     }
 
     #[test]
@@ -530,11 +483,7 @@ mod tests {
         let smm = Smm::<f64>::new();
         let a = Mat::<f64>::random(17, 11, 51);
         let b = Mat::<f64>::random(11, 13, 52);
-        let mut c = Mat::<f64>::zeros(17, 13);
-        let mut c_ref = c.clone();
-        smm.gemm(2.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
-        gemm_naive(2.0, a.as_ref(), b.as_ref(), 0.0, c_ref.as_mut());
-        assert!(c.max_abs_diff(&c_ref) < 1e-9);
+        gemm_within_bound(&smm, 2.0, &a, &b, 0.0, &Mat::zeros(17, 13));
     }
 
     #[test]
@@ -556,35 +505,22 @@ mod tests {
 
     #[test]
     fn builder_configures_threads_cache_and_packing() {
-        let smm = Smm::<f32>::builder()
-            .threads(4)
-            .cache_capacity(64)
-            .pack_a(Some(true))
-            .pack_b(Some(false))
-            .pack_edge_b(false)
-            .build();
+        let smm = Smm::<f32>::builder().threads(4).cache_capacity(64).build();
         assert_eq!(smm.config().max_threads, 4);
-        assert_eq!(smm.config().pack_a, Some(true));
-        assert_eq!(smm.config().pack_b, Some(false));
-        assert!(!smm.config().pack_edge_b);
-        let plan = smm.plan(20, 20, 20);
-        assert!(plan.pack_a);
-        assert!(!plan.pack_b);
-    }
-
-    #[test]
-    fn builder_private_pool_is_used() {
-        let pool = TaskPool::new(2);
-        let smm = Smm::<f32>::builder().threads(4).pool(pool.clone()).build();
-        assert_eq!(smm.pool().workers(), 2);
-        assert_eq!(smm.stats().pool_workers, 2);
-        let a = Mat::<f32>::random(48, 24, 61);
-        let b = Mat::<f32>::random(24, 40, 62);
-        let mut c = Mat::<f32>::zeros(48, 40);
-        let mut c_ref = c.clone();
-        smm.gemm(1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
-        gemm_naive(1.0, a.as_ref(), b.as_ref(), 0.0, c_ref.as_mut());
-        assert!(c.max_abs_diff(&c_ref) < 1e-3);
+        // Packing is the P2C model's decision (§III-A), not a setting,
+        // and edge slivers are always packed (Fig. 8).
+        assert_eq!((smm.config().pack_a, smm.config().pack_b), (None, None));
+        for (m, n, k) in [(8, 64, 32), (20, 20, 20), (192, 192, 192)] {
+            let plan = smm.plan(m, n, k);
+            let model = SmmPlan::build(m, n, k, smm.config());
+            assert_eq!((plan.pack_a, plan.pack_b), (model.pack_a, model.pack_b));
+            assert!(plan.pack_edge_b, "{m}x{n}x{k}");
+        }
+        for m in 1..=100 {
+            smm.plan(m, 4, 4);
+        }
+        assert!(smm.cached_plans() <= 64, "resident {}", smm.cached_plans());
+        assert_eq!(smm.pool().workers(), TaskPool::global().workers());
     }
 
     #[test]
@@ -624,11 +560,8 @@ mod tests {
         assert!(off.drain_trace().is_empty(), "disabled tracer stays empty");
 
         let smm = Smm::<f32>::builder().threads(4).tracing(true).build();
-        let mut c = Mat::<f32>::zeros(32, 32);
-        let mut c_ref = c.clone();
-        smm.gemm(1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
-        gemm_naive(1.0, a.as_ref(), b.as_ref(), 0.0, c_ref.as_mut());
-        assert!(c.max_abs_diff(&c_ref) < 1e-3, "tracing must not perturb");
+        // Tracing must not perturb the result.
+        gemm_within_bound(&smm, 1.0, &a, &b, 0.0, &Mat::zeros(32, 32));
         let spans = smm.drain_trace();
         let root = spans
             .iter()
@@ -682,12 +615,6 @@ mod tests {
         assert_eq!(f64_isa, smm_model::VectorIsa::neon128());
         let smm = Smm::<f32>::builder().threads(0).build();
         assert_eq!(smm.config().max_threads, 1, "threads clamp to 1");
-        let cfg = PlanConfig {
-            max_threads: 3,
-            ..Default::default()
-        };
-        let smm = Smm::<f32>::builder().config(cfg).build();
-        assert_eq!(smm.config().max_threads, 3);
     }
 
     fn tiny_db(isa: smm_model::VectorIsa) -> PlanDb {
@@ -711,11 +638,8 @@ mod tests {
             .build();
         let a = Mat::<f32>::random(8, 8, 1);
         let b = Mat::<f32>::random(8, 8, 2);
-        let mut c = Mat::<f32>::zeros(8, 8);
-        let mut c_ref = c.clone();
-        smm.gemm(1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
-        gemm_naive(1.0, a.as_ref(), b.as_ref(), 0.0, c_ref.as_mut());
-        assert!(c.max_abs_diff(&c_ref) < 1e-3, "db-sourced plan correct");
+        // The database-sourced plan computes correctly.
+        gemm_within_bound(&smm, 1.0, &a, &b, 0.0, &Mat::zeros(8, 8));
         smm.plan(9, 8, 8); // NN match
         let s = smm.tuner_stats();
         assert_eq!(s.db_hits, 1);

@@ -1491,6 +1491,26 @@ mod tests {
     }
 
     #[test]
+    fn absorb_keeps_the_steepest_p99_trend() {
+        // Shards whose tails each climb 10 ns/s make a fleet whose tail
+        // climbs 10 ns/s, not 10 ns/s per shard: the trend merges like
+        // `p99_now_ns`, by the worst shard.
+        let shard = |trend: f64| {
+            let mut r =
+                Telemetry::new(true).report(empty_runtime(), empty_pool(), ArenaStats::default());
+            r.rate.p99_trend_ns_per_sec = trend;
+            r
+        };
+        let mut fleet = shard(10.0);
+        for _ in 0..3 {
+            fleet.absorb(&shard(10.0));
+        }
+        assert_eq!(fleet.rate.p99_trend_ns_per_sec, 10.0);
+        fleet.absorb(&shard(-12.5));
+        assert_eq!(fleet.rate.p99_trend_ns_per_sec, 10.0);
+    }
+
+    #[test]
     fn observed_p2c_uses_paper_widths() {
         let tel = Telemetry::new(true);
         // 1 GEMM of 8x8x8: flops = 1024, MACs = 512, fmas = 512/8 = 64.

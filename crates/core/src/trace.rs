@@ -385,12 +385,6 @@ impl Tracer {
         }
     }
 
-    /// The configured slow-request threshold in nanoseconds
-    /// (`u64::MAX` when disabled).
-    pub fn slow_threshold_ns(&self) -> u64 {
-        self.inner.as_deref().map_or(u64::MAX, |i| i.threshold_ns)
-    }
-
     /// Tell the exemplar store a request finished: if `total_ns`
     /// breaches the threshold, the trace's span tree is pinned (worst
     /// [`EXEMPLAR_CAP`] kept, by latency).

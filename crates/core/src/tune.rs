@@ -7,18 +7,18 @@
 //! way LIBXSMM's JIT measures what it generates: it *simulates* each
 //! candidate plan on the Phytium 2000+ model and keeps the one with the
 //! fewest cycles. Tuning costs milliseconds per shape, which matches
-//! the SMM usage pattern (few distinct shapes, many invocations) —
-//! [`Autotuner`] caches it per process.
+//! the SMM usage pattern (few distinct shapes, many invocations).
 //!
-//! Per-process caching still pays the full tuning cost once per shape
-//! per restart. [`PlanSource`] adds IAAT's persistent two-stage scheme
-//! on top: an offline sweep (the `smm-tune` binary) writes a
-//! [`PlanDb`]; at runtime, a lookup first tries an exact database hit,
-//! then nearest-neighbor matching in log-space shape distance, and only
-//! pays for full online tuning when both miss — recording the result as
-//! a delta so the *next* process never tunes that shape again.
+//! [`PlanSource`] runs it in IAAT's persistent two-stage scheme: an
+//! offline sweep (the `smm-tune` binary) writes a [`PlanDb`]; at
+//! runtime, a plan-cache miss first tries an exact database hit, then
+//! nearest-neighbor matching in log-space shape distance, and only pays
+//! for full online tuning when both miss — recording the result as a
+//! delta so the *next* process never tunes that shape again. Within a
+//! process the refined entry answers later misses as an exact hit, and
+//! the runtime's `ShardedPlanCache` memoizes whichever plan the source
+//! returns.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 
 use smm_sync::sync::atomic::{AtomicU64, Ordering};
@@ -92,9 +92,9 @@ pub fn candidate_configs(base: &PlanConfig) -> Vec<PlanConfig> {
 
 /// Fully tune one shape (uncached): simulate the heuristic plan and
 /// every candidate, keep the cheapest. This is the single online-tuning
-/// primitive — the [`Autotuner`] caches it per process, the `smm-tune`
-/// sweep binary runs it over a grid, and [`PlanSource`] falls back to
-/// it when the database and nearest-neighbor stages both miss.
+/// primitive — the `smm-tune` sweep binary runs it over a grid, and
+/// [`PlanSource`] falls back to it when the database and
+/// nearest-neighbor stages both miss.
 pub fn tune_shape(m: usize, n: usize, k: usize, base: &PlanConfig) -> TunedPlan {
     let heuristic = SmmPlan::build(m, n, k, base);
     let heuristic_cycles = build_sim(&heuristic).run().cycles;
@@ -119,77 +119,6 @@ pub fn tune_shape(m: usize, n: usize, k: usize, base: &PlanConfig) -> TunedPlan 
     }
 }
 
-/// Number of independently locked cache shards (power of two, same
-/// scheme as the runtime's `ShardedPlanCache`): tuning a shape takes
-/// milliseconds, so a single `Mutex` would serialize every *cached*
-/// lookup behind any in-flight tuning of an unrelated shape.
-const SHARDS: usize = 16;
-
-fn shard_of(key: (usize, usize, usize)) -> usize {
-    // Fibonacci-hash the shape so near-identical shapes (the common
-    // case in sweeps) spread across shards.
-    let h = key
-        .0
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(key.1.wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
-        .wrapping_add(key.2.wrapping_mul(0x1656_67B1_9E37_79F9));
-    (h >> 48) & (SHARDS - 1)
-}
-
-type Shard = RwLock<HashMap<(usize, usize, usize), TunedPlan>>;
-
-/// Exhaustive-ish candidate search with sharded-lock caching: cached
-/// lookups take a shared lock on one shard only, candidate simulation
-/// happens outside any lock, and the insert double-checks so
-/// concurrent tunings of one shape converge on a single entry.
-pub struct Autotuner {
-    base: PlanConfig,
-    shards: [Shard; SHARDS],
-}
-
-impl Autotuner {
-    /// Tuner deriving candidates from a base configuration (thread
-    /// budget etc. are taken from `base`).
-    pub fn new(base: PlanConfig) -> Self {
-        Autotuner {
-            base,
-            shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-        }
-    }
-
-    /// Tune a shape (cached).
-    pub fn tune(&self, m: usize, n: usize, k: usize) -> TunedPlan {
-        let key = (m, n, k);
-        let shard = &self.shards[shard_of(key)];
-        if let Some(hit) = shard.read().unwrap().get(&key) {
-            return hit.clone();
-        }
-        // Simulate outside any lock: tuning one shape must not block
-        // cached lookups of the fifteen unrelated shards, nor even
-        // cached lookups of other shapes on this shard.
-        let tuned = tune_shape(m, n, k, &self.base);
-        let mut map = shard.write().unwrap();
-        if let Some(hit) = map.get(&key) {
-            // A concurrent tuning won the race; adopt its result so
-            // every caller observes one entry per shape.
-            return hit.clone();
-        }
-        map.insert(key, tuned.clone());
-        tuned
-    }
-
-    /// Shapes tuned so far.
-    pub fn cached(&self) -> usize {
-        self.shards.iter().map(|s| s.read().unwrap().len()).sum()
-    }
-}
-
-impl Default for Autotuner {
-    fn default() -> Self {
-        Self::new(PlanConfig::default())
-    }
-}
-
 /// Counters of the two-stage plan source, exported through
 /// `TelemetryReport` (text/JSON/Prometheus).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -204,8 +133,7 @@ pub struct TunerStats {
     /// Plan builds that fell through to full online tuning (and were
     /// recorded as refinement deltas).
     pub online_refines: u64,
-    /// Plan builds with no database at all, or with online refinement
-    /// disabled — the plain heuristic path.
+    /// Plan builds with no database at all — the plain heuristic path.
     pub untuned_builds: u64,
     /// Refinement deltas recorded but not yet flushed to disk.
     pub pending_deltas: u64,
@@ -239,17 +167,16 @@ impl TunerStats {
 ///
 /// 1. **exact hit** — the shape was swept (or previously refined);
 ///    build straight from the stored entry, no simulation;
-/// 2. **nearest-neighbor match** — an entry within `nn_threshold`
-///    log-space distance lends its kernel/packing choice (blocking is
-///    re-derived for the actual shape by the planner);
+/// 2. **nearest-neighbor match** — an entry within
+///    [`DEFAULT_NN_THRESHOLD`] log-space distance lends its
+///    kernel/packing choice (blocking is re-derived for the actual shape
+///    by the planner);
 /// 3. **online refinement** — full simulation via [`tune_shape`], with
 ///    the winner upserted into the in-memory database and recorded as a
 ///    delta for [`PlanSource::flush`] to persist.
 pub struct PlanSource {
     db: Option<RwLock<PlanDb>>,
     db_path: Option<PathBuf>,
-    nn_threshold: f64,
-    refine_online: bool,
     deltas: DeltaBuffer,
     // relaxed — independent monotonic counters, read only for reporting.
     db_hits: AtomicU64,
@@ -266,8 +193,6 @@ impl PlanSource {
         PlanSource {
             db: None,
             db_path: None,
-            nn_threshold: DEFAULT_NN_THRESHOLD,
-            refine_online: true,
             deltas: DeltaBuffer::new(),
             db_hits: AtomicU64::new(0),
             nn_matches: AtomicU64::new(0),
@@ -287,27 +212,6 @@ impl PlanSource {
         }
     }
 
-    /// Nearest-neighbor acceptance threshold (log-space distance).
-    pub fn set_nn_threshold(&mut self, threshold: f64) {
-        self.nn_threshold = threshold.max(0.0);
-    }
-
-    /// Whether double misses pay for full online tuning (true) or fall
-    /// back to the plain heuristic plan (false).
-    pub fn set_refine_online(&mut self, refine: bool) {
-        self.refine_online = refine;
-    }
-
-    /// ISA the loaded database was swept under, if any.
-    pub fn db_isa(&self) -> Option<smm_model::VectorIsa> {
-        self.db.as_ref().map(|db| db.read().unwrap().isa())
-    }
-
-    /// Whether a persistent database is loaded.
-    pub fn has_db(&self) -> bool {
-        self.db.is_some()
-    }
-
     /// Build the plan for one shape, walking the two-stage ladder.
     pub fn plan_for(&self, m: usize, n: usize, k: usize, cfg: &PlanConfig) -> SmmPlan {
         let Some(db) = &self.db else {
@@ -323,21 +227,15 @@ impl PlanSource {
                 return self.build_from_entry(m, n, k, entry, cfg);
             }
             if let Some((entry, dist)) = db.nearest(m, n, k) {
-                if dist <= self.nn_threshold {
+                if dist <= DEFAULT_NN_THRESHOLD {
                     // relaxed — monotonic counter, read only for reporting.
                     self.nn_matches.fetch_add(1, Ordering::Relaxed);
                     return self.build_from_entry(m, n, k, entry, cfg);
                 }
             }
         }
-        // Outside the swept envelope. Refine online (full simulation,
-        // outside any lock) and remember the answer, or fall back to
-        // the heuristic when refinement is disabled.
-        if !self.refine_online {
-            // relaxed — monotonic counter, read only for reporting.
-            self.untuned_builds.fetch_add(1, Ordering::Relaxed);
-            return SmmPlan::build(m, n, k, cfg);
-        }
+        // Outside the swept envelope: refine online (full simulation,
+        // outside any lock) and remember the answer.
         let tuned = tune_shape(m, n, k, cfg);
         let entry = tuned.to_entry(4, true);
         self.deltas.record(entry.clone());
@@ -448,12 +346,28 @@ impl Default for PlanSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smm_gemm::check_gemm_bound;
+    use smm_gemm::matrix::Mat;
+
+    /// Execute `plan` on random operands and hold the result to the
+    /// oracle within the derived componentwise bound.
+    fn execute_within_bound(plan: &SmmPlan) {
+        let (m, n, k) = (plan.m, plan.n, plan.k);
+        let a = Mat::<f32>::random(m, k, 1);
+        let b = Mat::<f32>::random(k, n, 2);
+        let c0 = Mat::<f32>::zeros(m, n);
+        let mut c = c0.clone();
+        let pool = smm_gemm::pool::TaskPool::global();
+        crate::exec::execute_in(pool, plan, 1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
+        check_gemm_bound(1.0, a.as_ref(), b.as_ref(), 0.0, c0.as_ref(), c.as_ref())
+            .unwrap_or_else(|v| panic!("{m}x{n}x{k}: {v}"));
+    }
 
     #[test]
     fn tuned_never_loses_to_heuristic() {
-        let tuner = Autotuner::default();
+        let cfg = PlanConfig::default();
         for &(m, n, k) in &[(8usize, 8usize, 8usize), (13, 7, 21), (40, 40, 40)] {
-            let t = tuner.tune(m, n, k);
+            let t = tune_shape(m, n, k, &cfg);
             assert!(t.cycles <= t.heuristic_cycles, "{m}x{n}x{k}: {t:?}");
             assert!(t.gain() >= 1.0);
             assert!(t.candidates > KERNEL_CANDIDATES.len());
@@ -461,70 +375,18 @@ mod tests {
     }
 
     #[test]
-    fn tuning_is_cached() {
-        let tuner = Autotuner::default();
-        let a = tuner.tune(6, 6, 6);
-        let b = tuner.tune(6, 6, 6);
-        assert_eq!(a.cycles, b.cycles);
-        assert_eq!(tuner.cached(), 1);
-    }
-
-    #[test]
-    fn concurrent_tuning_converges_on_one_entry_per_shape() {
-        let tuner = Autotuner::default();
-        let shapes = [
-            (6usize, 6usize, 6usize),
-            (13, 7, 21),
-            (9, 5, 4),
-            (16, 16, 8),
-        ];
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                let tuner = &tuner;
-                s.spawn(move || {
-                    // Every thread tunes every shape, rotated so the
-                    // same shape races across threads.
-                    for i in 0..shapes.len() {
-                        let (m, n, k) = shapes[(i + t) % shapes.len()];
-                        let tuned = tuner.tune(m, n, k);
-                        assert!(tuned.cycles <= tuned.heuristic_cycles);
-                    }
-                });
-            }
-        });
-        // Racing tunings of one shape must converge on a single cache
-        // entry, and repeat lookups must agree with the cached winner.
-        assert_eq!(tuner.cached(), shapes.len());
-        for &(m, n, k) in &shapes {
-            let again = tuner.tune(m, n, k);
-            assert_eq!(again.cycles, tuner.tune(m, n, k).cycles);
-        }
-        assert_eq!(tuner.cached(), shapes.len());
-    }
-
-    #[test]
     fn tuned_plan_executes_correctly() {
-        use smm_gemm::gemm_naive;
-        use smm_gemm::matrix::Mat;
-        let tuner = Autotuner::default();
-        let t = tuner.tune(15, 11, 9);
-        let a = Mat::<f32>::random(15, 9, 1);
-        let b = Mat::<f32>::random(9, 11, 2);
-        let mut c = Mat::<f32>::zeros(15, 11);
-        let mut c_ref = c.clone();
-        let pool = smm_gemm::pool::TaskPool::global();
-        crate::exec::execute_in(pool, &t.plan, 1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
-        gemm_naive(1.0, a.as_ref(), b.as_ref(), 0.0, c_ref.as_mut());
-        assert!(c.max_abs_diff(&c_ref) < 1e-3);
+        let t = tune_shape(15, 11, 9, &PlanConfig::default());
+        execute_within_bound(&t.plan);
     }
 
     #[test]
     fn tuner_respects_thread_budget() {
-        let tuner = Autotuner::new(PlanConfig {
+        let cfg = PlanConfig {
             max_threads: 8,
             ..Default::default()
-        });
-        let t = tuner.tune(64, 96, 32);
+        };
+        let t = tune_shape(64, 96, 32, &cfg);
         assert!(t.plan.threads() <= 8);
     }
 
@@ -576,18 +438,6 @@ mod tests {
         assert_eq!(s.db_hits, 2, "second lookup is an exact hit");
         assert_eq!(s.online_refines, 1);
         assert!(s.db_coverage() > 0.7);
-    }
-
-    #[test]
-    fn refinement_disabled_falls_back_to_heuristic() {
-        let cfg = PlanConfig::default();
-        let mut src = PlanSource::with_db(db_with(&[(8, 8, 8)], &cfg), None);
-        src.set_refine_online(false);
-        src.plan_for(40, 40, 40, &cfg);
-        let s = src.stats();
-        assert_eq!(s.online_refines, 0);
-        assert_eq!(s.untuned_builds, 1);
-        assert_eq!(s.pending_deltas, 0);
     }
 
     #[test]
@@ -649,21 +499,11 @@ mod tests {
 
     #[test]
     fn db_plans_execute_correctly() {
-        use smm_gemm::gemm_naive;
-        use smm_gemm::matrix::Mat;
         let cfg = PlanConfig::default();
         let src = PlanSource::with_db(db_with(&[(15, 11, 9)], &cfg), None);
         // Exercise the exact-hit and the NN-match paths end to end.
         for (m, n, k) in [(15usize, 11usize, 9usize), (14, 12, 10)] {
-            let plan = src.plan_for(m, n, k, &cfg);
-            let a = Mat::<f32>::random(m, k, 1);
-            let b = Mat::<f32>::random(k, n, 2);
-            let mut c = Mat::<f32>::zeros(m, n);
-            let mut c_ref = c.clone();
-            let pool = smm_gemm::pool::TaskPool::global();
-            crate::exec::execute_in(pool, &plan, 1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
-            gemm_naive(1.0, a.as_ref(), b.as_ref(), 0.0, c_ref.as_mut());
-            assert!(c.max_abs_diff(&c_ref) < 1e-3, "{m}x{n}x{k}");
+            execute_within_bound(&src.plan_for(m, n, k, &cfg));
         }
         let s = src.stats();
         assert_eq!(s.db_hits, 1);

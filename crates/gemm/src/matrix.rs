@@ -327,18 +327,6 @@ impl<'a, S: Scalar> MatMut<'a, S> {
         }
     }
 
-    /// Reborrow mutably (shorter lifetime).
-    pub fn rb_mut(&mut self) -> MatMut<'_, S> {
-        MatMut {
-            rows: self.rows,
-            cols: self.cols,
-            ld: self.ld,
-            span: self.span,
-            ptr: self.ptr,
-            _marker: PhantomData,
-        }
-    }
-
     /// Mutable sub-view.
     pub fn block_mut(&mut self, i0: usize, j0: usize, nrows: usize, ncols: usize) -> MatMut<'_, S> {
         assert!(
@@ -390,11 +378,6 @@ impl<'a, S: Scalar> MatMut<'a, S> {
         // `&mut self`, so the slice cannot coexist with any other
         // access path through this view.
         unsafe { std::slice::from_raw_parts_mut(self.ptr, self.span) }
-    }
-
-    /// Raw parts `(ptr, rows, cols, ld)` for disjoint parallel writes.
-    pub fn raw_parts_mut(&mut self) -> (*mut S, usize, usize, usize) {
-        (self.ptr, self.rows, self.cols, self.ld)
     }
 
     /// Raw pointer to element `(i0, j0)`, checked to head an

@@ -141,31 +141,6 @@ pub fn gemm_parallel_grid<S: Scalar>(
     gemm_parallel_2d(engine, grid.m_ways(), grid.n_ways(), alpha, a, b, beta, c);
 }
 
-/// [`gemm_parallel_grid`] on an explicit pool handle.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_parallel_grid_in<S: Scalar>(
-    pool: &TaskPool,
-    engine: &GotoEngine,
-    grid: ThreadGrid,
-    alpha: S,
-    a: MatRef<'_, S>,
-    b: MatRef<'_, S>,
-    beta: S,
-    c: MatMut<'_, S>,
-) {
-    gemm_parallel_2d_in(
-        pool,
-        engine,
-        grid.m_ways(),
-        grid.n_ways(),
-        alpha,
-        a,
-        b,
-        beta,
-        c,
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

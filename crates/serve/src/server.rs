@@ -92,16 +92,17 @@ pub struct ServeConfig {
     pub coalesce_window: Duration,
     /// Maximum requests coalesced into one `gemm_batch` call.
     pub max_batch: usize,
-    /// How many of the plan database's hottest shapes (by persisted
-    /// traffic) each dispatcher pre-warms at startup — plans built and
-    /// gather arenas touched before the first request. Zero disables;
-    /// a no-op when the runtime has no plan database or no traffic.
-    pub prewarm: usize,
     /// Runtime shards: independent `Smm` runtimes, each with its own
     /// admission queue and dispatcher. 1 (the default) is the classic
     /// single-runtime server.
     pub shards: usize,
 }
+
+/// How many of the plan database's hottest shapes (by persisted
+/// traffic) each dispatcher pre-warms at startup — plans built and
+/// gather arenas touched before the first request. A no-op when the
+/// runtime has no plan database or no traffic.
+pub const PREWARM_SHAPES: usize = 64;
 
 /// Queue depth at which the router spills a new arrival away from its
 /// home shard to the shallowest one (shape affinity traded for load
@@ -119,7 +120,6 @@ impl Default for ServeConfig {
             queue_capacity: 256,
             coalesce_window: Duration::from_micros(100),
             max_batch: 64,
-            prewarm: 64,
             shards: 1,
         }
     }
@@ -546,14 +546,6 @@ impl<S: Scalar> ServerBuilder<S> {
         self
     }
 
-    /// How many hot shapes each dispatcher pre-warms at startup (0
-    /// disables; default 64). Only effective when the runtime carries
-    /// a plan database with recorded traffic.
-    pub fn prewarm(mut self, shapes: usize) -> Self {
-        self.cfg.prewarm = shapes;
-        self
-    }
-
     /// Number of runtime shards (clamped to at least 1; default 1).
     /// Each shard is an independent `Smm` runtime with its own plan
     /// cache, arenas, worker pool, queue, and dispatcher.
@@ -765,7 +757,7 @@ fn prewarm_hot_shapes<S: Scalar>(smm: &Smm<S>, cfg: &ServeConfig) -> u64 {
     // coalescing factor rather than the full max_batch, which would
     // reserve far more than steady state touches.
     let per = cfg.max_batch.clamp(1, 8);
-    for (m, n, k) in smm.hot_shapes(cfg.prewarm) {
+    for (m, n, k) in smm.hot_shapes(PREWARM_SHAPES) {
         smm.plan(m, n, k);
         let (ea, eb, ec) = (m * k, k * n, m * n);
         let a = arena::checkout::<S>(per * ea);
@@ -794,13 +786,11 @@ enum Round<S: Scalar> {
 
 fn dispatcher_loop<S: Scalar>(smm: &Smm<S>, shared: &ServeShared<S>, shard: usize) {
     let cfg = shared.cfg.clone();
-    if cfg.prewarm > 0 {
-        let warmed = prewarm_hot_shapes(smm, &cfg);
-        // relaxed — monotonic stat, read only by snapshotting reporters.
-        shared.shards[shard]
-            .prewarmed
-            .store(warmed, Ordering::Relaxed);
-    }
+    let warmed = prewarm_hot_shapes(smm, &cfg);
+    // relaxed — monotonic stat, read only by snapshotting reporters.
+    shared.shards[shard]
+        .prewarmed
+        .store(warmed, Ordering::Relaxed);
     let multi = shared.shards.len() > 1;
     loop {
         // Phase 1: find work — own queue first, then steal, then wait.

@@ -130,8 +130,8 @@ impl<T> ShardQueues<T> {
     }
 
     /// Whether the shutdown latch has been raised (lock-free hint; the
-    /// authoritative read happens under a shard mutex in [`push`]
-    /// (ShardQueues::push) and [`drive`](ShardQueues::drive)).
+    /// authoritative read happens under a shard mutex in
+    /// [`push`](ShardQueues::push) and [`drive`](ShardQueues::drive)).
     pub fn is_shutdown(&self) -> bool {
         self.shutdown.load(Ordering::Relaxed)
     }

@@ -12,7 +12,7 @@
 //! with a typed [`ERR_BUSY`](crate::wire::ERR_BUSY) reply, and hands
 //! each admitted stream round-robin to one of [`READER_THREADS`]
 //! reader threads. Each reader sweeps its connections: resolve
-//! finished [`Ticket`](crate::Ticket)s in FIFO order per connection,
+//! finished [`Ticket`]s in FIFO order per connection,
 //! flush buffered reply bytes, read the bytes `poll(2)` reported, and
 //! re-frame them incrementally — a frame split across any number of
 //! reads is reassembled byte-for-byte. Requests are submitted through
@@ -54,7 +54,7 @@
 //! `STATS` frames are answered from the same process state a local
 //! report would see: a single-shard server renders
 //! `Smm::stats_report` byte-identically to the in-process path, and a
-//! sharded server renders the aggregated [`FleetReport`]
+//! sharded server renders the aggregated [`FleetReport`](crate::FleetReport)
 //! (per-shard sections plus the merged fleet view).
 //!
 //! Shutdown never relies on read timeouts: [`TcpServer::shutdown`]
@@ -276,7 +276,7 @@ fn frame_len(buf: &[u8]) -> Option<usize> {
     Some(u32::from_le_bytes(prefix) as usize)
 }
 
-/// A TCP server speaking the [`wire`](crate::wire) protocol in front
+/// A TCP server speaking the [`wire`] protocol in front
 /// of an in-process [`Server<f32>`] (single-shard or sharded). Stop
 /// with [`TcpServer::shutdown`] (also run on drop), which joins the
 /// acceptor and reader threads and gracefully drains the inner

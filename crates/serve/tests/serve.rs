@@ -113,10 +113,7 @@ fn prewarm_builds_hot_plans_before_first_request() {
             .unwrap()
             .build(),
     );
-    let server = Server::<f32>::builder()
-        .smm(Arc::clone(&smm))
-        .prewarm(8)
-        .build();
+    let server = Server::<f32>::builder().smm(Arc::clone(&smm)).build();
     // Pre-warming runs asynchronously on the dispatcher thread; wait
     // for it rather than racing it.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);

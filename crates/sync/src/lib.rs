@@ -27,8 +27,9 @@ pub mod mc;
 /// The synchronization facade adopted by the runtime crates.
 ///
 /// Mirrors the subset of `std::sync` / `std::thread` the workspace
-/// actually uses: `Atomic{Bool,U32,U64,Usize}` + [`atomic::fence`] +
-/// [`atomic::Ordering`], `Mutex`/`Condvar`/`RwLock`, and
+/// actually uses: `Atomic{Bool,U32,U64,Usize}` +
+/// [`atomic::fence`](sync::atomic::fence) +
+/// [`atomic::Ordering`](sync::atomic::Ordering), `Mutex`/`Condvar`/`RwLock`, and
 /// `thread::{spawn, Builder, JoinHandle}`. `Arc`, `OnceLock`, and
 /// `mpsc` stay on `std` everywhere: they carry no protocol logic the
 /// model checker needs to schedule.
