@@ -35,6 +35,7 @@ fn bench_kernels() {
                     std::hint::black_box(&a),
                     mr,
                     BOperand::Packed(std::hint::black_box(&b)),
+                    1.0,
                     &mut cbuf,
                     mr,
                 );
@@ -55,7 +56,7 @@ fn bench_static_vs_dynamic() {
         ("dynamic_8x8", Kernel::<f32>::fallback(mr, nr)),
     ] {
         group.bench(name, || {
-            k.run(kc, 1.0, &a, mr, BOperand::Packed(&b), &mut cbuf, mr)
+            k.run(kc, 1.0, &a, mr, BOperand::Packed(&b), 1.0, &mut cbuf, mr)
         });
     }
 }

@@ -10,10 +10,12 @@
 //!
 //! Results land in `BENCH_throughput.json`: per-shape Gflops with
 //! p50/p99 call latency, the pooled-vs-spawn speedups, and the
-//! steady-state arena counters. Two zero-allocation gates run at the
-//! end — arena hit rate ≥ 99% and zero arena bytes allocated after
-//! warm-up — so a packing-path regression fails the bench (and the CI
-//! perf-smoke job) rather than silently eating the win back.
+//! steady-state arena counters. The arena gates run at the end: calls
+//! whose plans pack nothing check no buffer out, and over a window
+//! that includes a packing GEMM the arena hit rate is ≥ 99% with zero
+//! bytes allocated after warm-up — so a packing-path regression fails
+//! the bench (and the CI perf-smoke job) rather than silently eating
+//! the win back.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -451,15 +453,22 @@ fn telemetry_section() {
     );
 }
 
-/// The zero-allocation gates. A fresh runtime is warmed on the two
-/// hot-path workload kinds (single multi-threaded GEMM and a dense
-/// batch), the global arena counters are zeroed at the warm-up
-/// boundary, and a steady-state window runs. After warm-up every pool
-/// worker's thread-local free list holds buffers for every size class
-/// these shapes touch, so the window must be all hits: a miss both
-/// drops the hit rate and books fresh capacity into `alloc_bytes`.
-fn arena_steady_state_section() -> arena::ArenaStats {
-    println!("\narena steady state ({THREADS} threads, gates: hit rate >= 99%, 0 bytes):");
+/// The arena gates. A fresh runtime runs the two hot-path workload
+/// kinds (a single multi-threaded GEMM and a dense batch), whose plans
+/// pack nothing, so they must check no buffer out at all. Then a GEMM
+/// whose plan packs B joins them: the runtime is warmed, the global
+/// arena counters are zeroed at the warm-up boundary, and a
+/// steady-state window runs. After warm-up every pool worker's
+/// thread-local free list holds buffers for every size class the
+/// packing shape touches, so the window must be all hits: a miss both
+/// drops the hit rate and books fresh capacity into `alloc_bytes`. The
+/// window must make checkouts, or the hit rate would pass vacuously.
+/// Returns the window's counters and the non-packing calls' checkouts.
+fn arena_steady_state_section() -> (arena::ArenaStats, u64) {
+    println!(
+        "\narena steady state ({THREADS} threads, gates: 0 checkouts without packing; \
+         with a packing GEMM: checkouts > 0, hit rate >= 99%, 0 bytes):"
+    );
     let smm = Smm::<f32>::builder().threads(THREADS).build();
 
     let (m, n, k) = (64usize, 64usize, 64usize);
@@ -473,24 +482,64 @@ fn arena_steady_state_section() -> arena::ArenaStats {
     let b_flat: Vec<f32> = Mat::<f32>::random(bk * batch, bn, 14).data().to_vec();
     let mut c_flat = vec![0.0f32; batch * desc.stride_c];
 
-    let mut run_both = |iters: usize| {
+    // A shape whose B slivers each serve at least eight panels per
+    // thread, so its plan packs B.
+    let (pm, pn, pk) = (512usize, 16usize, 32usize);
+    let packing = smm.plan(pm, pn, pk);
+    assert!(
+        packing.pack_a || packing.pack_b,
+        "the window's {pm}x{pn}x{pk} plan must pack: {packing:?}"
+    );
+    let pa = Mat::<f32>::random(pm, pk, 15);
+    let pb = Mat::<f32>::random(pk, pn, 16);
+    let mut pc = Mat::<f32>::zeros(pm, pn);
+
+    for (label, (sm, sn, sk)) in [("gemm", (m, n, k)), ("gemm_batch", (bm, bn, bk))] {
+        let plan = smm.plan(sm, sn, sk);
+        assert!(
+            !plan.pack_a && !plan.pack_b,
+            "the {label} {sm}x{sn}x{sk} plan packs: {plan:?}"
+        );
+    }
+    let mut run_unpacked = |iters: usize| {
         for _ in 0..iters {
             smm.gemm(1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
             smm.gemm_batch(&desc, 1.0, &a_flat, &b_flat, 0.0, &mut c_flat)
                 .unwrap();
         }
     };
-    run_both(400); // warm every worker's free lists
+    run_unpacked(50);
     arena::reset_stats();
-    run_both(500); // measured steady-state window
+    run_unpacked(500);
+    let idle = arena::stats();
+    let unpacked_checkouts = idle.hits + idle.misses;
+    println!("  500 non-packing gemm + gemm_batch calls: {unpacked_checkouts} checkouts");
+    assert_eq!(
+        unpacked_checkouts, 0,
+        "plans that pack nothing checked {unpacked_checkouts} arena buffers out"
+    );
+
+    let mut run_all = |iters: usize| {
+        run_unpacked(iters);
+        for _ in 0..iters {
+            smm.gemm(1.0, pa.as_ref(), pb.as_ref(), 0.0, pc.as_mut());
+        }
+    };
+    run_all(400); // warm every worker's free lists
+    arena::reset_stats();
+    run_all(500); // measured steady-state window
 
     let stats = arena::stats();
     println!(
-        "  {} hits / {} misses ({:.3}% hit rate), {} bytes allocated",
+        "  with {pm}x{pn}x{pk}: {} hits / {} misses ({:.3}% hit rate), {} bytes allocated",
         stats.hits,
         stats.misses,
         stats.hit_rate() * 100.0,
         stats.alloc_bytes
+    );
+    assert!(
+        stats.hits + stats.misses > 0,
+        "the steady-state window made no arena checkouts; its gates would pass vacuously"
     );
     assert!(
         stats.hit_rate() >= 0.99,
@@ -504,13 +553,16 @@ fn arena_steady_state_section() -> arena::ArenaStats {
         "steady state allocated {} bytes through the arena; expected 0",
         stats.alloc_bytes
     );
-    println!("  gates passed: hit rate >= 99%, zero steady-state allocation");
-    stats
+    println!(
+        "  gates passed: no checkouts without packing, hit rate >= 99%, \
+         zero steady-state allocation"
+    );
+    (stats, unpacked_checkouts)
 }
 
 /// Hand-rolled JSON (std-only workspace) mirroring the keys the
 /// telemetry report uses, one object per benched workload.
-fn write_json(records: &[ShapeRecord], steady: arena::ArenaStats) {
+fn write_json(records: &[ShapeRecord], steady: arena::ArenaStats, unpacked_checkouts: u64) {
     use std::fmt::Write as _;
     let min_speedup = records
         .iter()
@@ -533,7 +585,7 @@ fn write_json(records: &[ShapeRecord], steady: arena::ArenaStats) {
     let _ = writeln!(
         s,
         "  \"arena_steady_state\": {{\"hits\": {}, \"misses\": {}, \"alloc_bytes\": {}, \
-         \"hit_rate\": {:.6}}},",
+         \"hit_rate\": {:.6}, \"unpacked_checkouts\": {unpacked_checkouts}}},",
         steady.hits,
         steady.misses,
         steady.alloc_bytes,
@@ -542,6 +594,7 @@ fn write_json(records: &[ShapeRecord], steady: arena::ArenaStats) {
     let _ = writeln!(
         s,
         "  \"gates\": {{\"arena_hit_rate_min\": 0.99, \"arena_alloc_bytes_steady\": 0, \
+         \"arena_checkouts_min\": 1, \"arena_unpacked_checkouts\": 0, \
          \"min_speedup_vs_spawn\": {min_speedup:.3}, \"passed\": true}}"
     );
     s.push_str("}\n");
@@ -556,6 +609,6 @@ fn main() {
     single_gemm_section(&mut records);
     concurrent_callers_section();
     telemetry_section();
-    let steady = arena_steady_state_section();
-    write_json(&records, steady);
+    let (steady, unpacked_checkouts) = arena_steady_state_section();
+    write_json(&records, steady, unpacked_checkouts);
 }

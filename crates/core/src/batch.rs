@@ -239,7 +239,7 @@ impl<S: Scalar> Smm<S> {
                     }
                 }
             });
-            let busy = run_pooled(self.pool(), &rec, &self.tracer, 0, tasks);
+            let busy = run_pooled(self.pool(), &rec, &self.tracer, tasks);
             if !fine {
                 // One span for the parallel section's critical path —
                 // per-group spans would cost more than these entries.

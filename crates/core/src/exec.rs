@@ -1,13 +1,18 @@
 //! Native execution of an [`SmmPlan`] — the one §IV tile walker.
 //!
-//! Single-threaded execution writes micro-tiles straight into `C`
-//! (tiles are exact, never padded). Multi-threaded execution splits the
-//! plan's tile lists across the thread grid's `m_ways × n_ways`; each
-//! grid cell receives a disjoint tile of `C` from
-//! [`MatMut::split_grid`] and updates it **in place** — no private
-//! block, no post-join merge pass, `C` is swept once. Packing buffers
-//! come from the thread-local [`smm_gemm::arena`], so a warmed-up
-//! steady state allocates nothing per call.
+//! The walker does only the work the plan asks for. Single-threaded
+//! execution writes micro-tiles straight into `C` (tiles are exact,
+//! never padded), and `beta` is applied by the kernels' merge on the
+//! first k block, so no pass over `C` precedes them. Multi-threaded
+//! execution splits the plan's tile lists across the thread grid's
+//! `m_ways × n_ways`; each grid cell receives a disjoint tile of `C`
+//! from [`MatMut::split_grid`] and updates it **in place** — no private
+//! block, no post-join merge pass, `C` is swept once. An operand is
+//! packed only when the plan packs it (the P2C rule), into a buffer
+//! from the thread-local [`smm_gemm::arena`], so a warmed-up steady
+//! state allocates nothing per call and a plan that packs nothing
+//! checks nothing out: a single-tile shape is a dimension check and one
+//! kernel call.
 //!
 //! Multi-threaded plans run on a persistent [`TaskPool`] instead of
 //! spawning threads per call — thread startup is the §III-D overhead
@@ -79,34 +84,16 @@ pub(crate) fn execute_with<S: Scalar>(
     );
     let timed = rec.active();
     let Some((pool, tracer)) = split.filter(|_| plan.threads() > 1) else {
-        c.scale(beta);
         let t0 = rec.now();
+        let (m_tiles, n_tiles) = (&plan.m_tiles, &plan.n_tiles);
         let cost = run_tiles(
-            plan,
-            timed,
-            alpha,
-            a,
-            b,
-            &mut c,
-            &plan.m_tiles,
-            &plan.n_tiles,
-            0,
-            0,
+            plan, timed, alpha, a, b, beta, &mut c, m_tiles, n_tiles, 0, 0,
         );
         if let Some(t0) = t0 {
             record_cost(&rec, &cost, t0.elapsed().as_nanos() as u64);
         }
         return;
     };
-
-    // The beta scaling is the serial bookend of the parallel section —
-    // it counts as Sync in the Table-II sense, together with the
-    // caller's wait beyond the slowest task. (The historical post-join
-    // merge pass — the other bookend — no longer exists: each cell
-    // writes its disjoint C tile in place.)
-    let t_scale = rec.now();
-    c.scale(beta);
-    let scale_ns = t_scale.map_or(0, |t| t.elapsed().as_nanos() as u64);
 
     // Non-empty grid cells. Plan tiles cover each dimension
     // contiguously, so chunk row/col spans partition C exactly.
@@ -142,12 +129,12 @@ pub(crate) fn execute_with<S: Scalar>(
             debug_assert_eq!((ti, tj), (i_base, j_base));
             tasks.push(move || {
                 run_tiles(
-                    plan, timed, alpha, a, b, &mut tile, m_tiles, n_tiles, i_base, j_base,
+                    plan, timed, alpha, a, b, beta, &mut tile, m_tiles, n_tiles, i_base, j_base,
                 )
             });
         }
     }
-    for (cost, busy_ns) in run_pooled(pool, &rec, tracer, scale_ns, tasks) {
+    for (cost, busy_ns) in run_pooled(pool, &rec, tracer, tasks) {
         record_cost(&rec, &cost, busy_ns);
     }
 }
@@ -156,13 +143,12 @@ pub(crate) fn execute_with<S: Scalar>(
 /// `worker` span parented to the caller's current span — captured here,
 /// since the tasks run on pool threads — and is timed when `rec`
 /// records. Records the Dispatch span and the Sync span (the caller's
-/// wait beyond the slowest task, plus `serial_ns` of serial bookend
-/// work) and returns each task's output with its busy nanoseconds.
+/// wait beyond the slowest task) and returns each task's output with
+/// its busy nanoseconds.
 pub(crate) fn run_pooled<T: Send>(
     pool: &TaskPool,
     rec: &Recorder<'_>,
     tracer: &Tracer,
-    serial_ns: u64,
     tasks: impl IntoIterator<Item = impl FnOnce() -> T + Send>,
 ) -> Vec<(T, u64)> {
     let timed = rec.active();
@@ -186,7 +172,7 @@ pub(crate) fn run_pooled<T: Send>(
         let max_busy = results.iter().map(|&(_, ns)| ns).max().unwrap_or(0);
         let slack_ns = dispatch_ns.saturating_sub(max_busy);
         rec.span_ns(Phase::Dispatch, dispatch_ns);
-        rec.span_ns(Phase::Sync, slack_ns + serial_ns);
+        rec.span_ns(Phase::Sync, slack_ns);
     }
     results
 }
@@ -221,13 +207,14 @@ fn record_cost(rec: &Recorder<'_>, cost: &PackCost, total_ns: u64) {
 }
 
 /// Run a set of tiles; tile offsets are global, `i_base`/`j_base`
-/// translate them into the target `C` view.
+/// translate them into the target `C` view. The first k block's merge
+/// scales `C` by `beta`; later blocks accumulate onto it.
 ///
-/// With `timed` set, each packing call is individually clocked and the
-/// accumulated cost returned; packing is coarse enough (one call per
-/// panel per k-block, never per micro-kernel) that the extra clock
-/// reads stay amortized. Untimed runs return a zero [`PackCost`] and
-/// never read the clock.
+/// With `timed` set, each packing pass is individually clocked and the
+/// accumulated cost returned; packing is coarse enough (one pass per
+/// k block for B, one per panel per k block for A, never per
+/// micro-kernel) that the extra clock reads stay amortized. Untimed
+/// runs return a zero [`PackCost`] and never read the clock.
 #[allow(clippy::too_many_arguments)]
 fn run_tiles<S: Scalar>(
     plan: &SmmPlan,
@@ -235,68 +222,58 @@ fn run_tiles<S: Scalar>(
     alpha: S,
     a: MatRef<'_, S>,
     b: MatRef<'_, S>,
+    mut beta: S,
     c: &mut MatMut<'_, S>,
     m_tiles: &[TileSpan],
     n_tiles: &[TileSpan],
     i_base: usize,
     j_base: usize,
 ) -> PackCost {
-    let lda = a.ld();
-    let ldb = b.ld();
-    let ldc = c.ld();
-    let nr = plan.kernel.nr;
+    let (lda, ldb, ldc) = (a.ld(), b.ld(), c.ld());
     let elem = std::mem::size_of::<S>() as u64;
     let mut cost = PackCost::default();
 
-    // Arena-backed working storage: one buffer holds every packed B
-    // sliver of a k block (offsets below), one the current A panel.
-    // After warm-up these checkouts allocate nothing.
+    // Arena buffers for the packed operands only: one holds every B
+    // sliver of a k block, back to back, one the current A panel.
     let kc_max = plan.kc.min(plan.k);
     let n_total: usize = n_tiles.iter().map(|t| t.logical).sum();
-    let m_max: usize = m_tiles.iter().map(|t| t.logical).max().unwrap_or(0);
-    let mut bpack = arena::checkout::<S>(kc_max * n_total);
-    let mut apack = arena::checkout::<S>(kc_max * m_max);
-    // Per-sliver start offsets into `bpack`; UNPACKED marks slivers
-    // streamed straight from B.
-    const UNPACKED: usize = usize::MAX;
-    let mut b_offs = arena::checkout::<usize>(n_tiles.len());
+    let m_max = m_tiles.iter().map(|t| t.logical).max().unwrap_or(0);
+    let mut bpack = plan.pack_b.then(|| arena::checkout::<S>(kc_max * n_total));
+    let mut apack = plan.pack_a.then(|| arena::checkout::<S>(kc_max * m_max));
 
     let mut kk = 0;
     while kk < plan.k {
         let kc = plan.kc.min(plan.k - kk);
-        // Decide and perform B packing for this k block.
-        bpack.clear();
-        b_offs.clear();
-        for jt in n_tiles.iter() {
-            let edge = jt.logical < nr;
-            if plan.pack_b || (edge && plan.pack_edge_b) {
-                let t0 = now_if(timed);
-                let off = pack_b_exact_append(b, kk, jt.offset, kc, jt.logical, &mut bpack);
-                if let Some(t0) = t0 {
-                    cost.b_ns += t0.elapsed().as_nanos() as u64;
-                    cost.bytes += (kc * jt.logical) as u64 * elem;
-                    cost.b_packed = true;
-                }
-                b_offs.push(off);
-            } else {
-                b_offs.push(UNPACKED);
+        if let Some(bpack) = bpack.as_mut() {
+            let t0 = now_if(timed);
+            bpack.clear();
+            for jt in n_tiles {
+                pack_b_exact_append(b, kk, jt.offset, kc, jt.logical, bpack);
+            }
+            if let Some(t0) = t0 {
+                cost.b_ns += t0.elapsed().as_nanos() as u64;
+                cost.bytes += (kc * n_total) as u64 * elem;
+                cost.b_packed = true;
             }
         }
         for it in m_tiles {
             // A source: packed panel or the raw column-major block.
-            let (a_src, a_stride): (&[S], usize) = if plan.pack_a {
-                let t0 = now_if(timed);
-                pack_a_exact(a, it.offset, kk, it.logical, kc, &mut apack);
-                if let Some(t0) = t0 {
-                    cost.a_ns += t0.elapsed().as_nanos() as u64;
-                    cost.bytes += (it.logical * kc) as u64 * elem;
-                    cost.a_packed = true;
+            let (a_src, a_stride): (&[S], usize) = match apack.as_mut() {
+                Some(apack) => {
+                    let t0 = now_if(timed);
+                    pack_a_exact(a, it.offset, kk, it.logical, kc, apack);
+                    if let Some(t0) = t0 {
+                        cost.a_ns += t0.elapsed().as_nanos() as u64;
+                        cost.bytes += (it.logical * kc) as u64 * elem;
+                        cost.a_packed = true;
+                    }
+                    (apack.as_slice(), it.logical)
                 }
-                (apack.as_slice(), it.logical)
-            } else {
-                (&a.data()[kk * lda + it.offset..], lda)
+                None => (&a.data()[kk * lda + it.offset..], lda),
             };
-            for (s, jt) in n_tiles.iter().enumerate() {
+            // A packed sliver starts where the previous one ends.
+            let mut b_off = 0;
+            for jt in n_tiles {
                 let kernel = Kernel::<S>::for_shape(it.logical, jt.logical);
                 let cptr = c.tile_ptr(
                     it.offset - i_base,
@@ -304,18 +281,19 @@ fn run_tiles<S: Scalar>(
                     it.logical,
                     jt.logical,
                 );
-                let b_src = if b_offs[s] != UNPACKED {
-                    BOperand::Packed(&bpack[b_offs[s]..b_offs[s] + kc * jt.logical])
-                } else {
-                    BOperand::ColMajor(&b.data()[jt.offset * ldb + kk..], ldb)
+                let b_src = match &bpack {
+                    Some(bpack) => BOperand::Packed(&bpack[b_off..b_off + kc * jt.logical]),
+                    None => BOperand::ColMajor(&b.data()[jt.offset * ldb + kk..], ldb),
                 };
+                b_off += kc * jt.logical;
                 // SAFETY: `tile_ptr` just asserted the tile's
                 // `logical x logical` window lies inside `c`, whose
                 // elements `&mut c` owns exclusively; the kernel writes
                 // exactly that footprint with stride `ldc = c.ld()`.
-                unsafe { kernel.run_ptr(kc, alpha, a_src, a_stride, b_src, cptr, ldc) };
+                unsafe { kernel.run_ptr(kc, alpha, a_src, a_stride, b_src, beta, cptr, ldc) };
             }
         }
+        beta = S::ONE;
         kk += kc;
     }
     cost
@@ -343,11 +321,7 @@ mod tests {
     /// Execute a plan and hold the result to the oracle within the
     /// derived componentwise bound.
     fn check(m: usize, n: usize, k: usize, cfg: &PlanConfig, alpha: f32, beta: f32) {
-        check_plan(&SmmPlan::build(m, n, k, cfg), alpha, beta);
-    }
-
-    fn check_plan(plan: &SmmPlan, alpha: f32, beta: f32) {
-        let (m, n, k) = (plan.m, plan.n, plan.k);
+        let plan = &SmmPlan::build(m, n, k, cfg);
         let a = Mat::<f32>::random(m, k, 21);
         let b = Mat::<f32>::random(k, n, 22);
         let c0 = Mat::<f32>::random(m, n, 23);
@@ -381,20 +355,6 @@ mod tests {
                 check(33, 27, 19, &cfg, 1.5, 0.25);
                 check(13, 3, 41, &cfg, 1.0, 0.0);
             }
-        }
-    }
-
-    #[test]
-    fn edge_packing_toggle_is_correct() {
-        let cfg = PlanConfig {
-            pack_b: Some(false),
-            ..Default::default()
-        };
-        let mut plan = SmmPlan::build(16, 13, 8, &cfg);
-        assert!(plan.pack_edge_b, "plans pack edge slivers (Fig. 8)");
-        for peb in [false, true] {
-            plan.pack_edge_b = peb;
-            check_plan(&plan, 1.0, 0.0);
         }
     }
 
@@ -456,9 +416,11 @@ mod tests {
         assert_eq!(c1.data(), c2.data());
     }
 
-    /// The historical executor this PR replaced: one `thread::scope`
-    /// spawn per grid cell, joined in submission order. Kept verbatim
-    /// as the oracle for the bit-for-bit parity guarantee.
+    /// The historical executor the pooled walker replaced: `beta`
+    /// applied by a separate pass over `C`, then one `thread::scope`
+    /// spawn per grid cell, joined in submission order, each cell
+    /// merging its private block afterwards. Kept as the oracle for the
+    /// bit-for-bit parity guarantee.
     fn execute_spawn_per_call<S: Scalar>(
         plan: &SmmPlan,
         alpha: S,
@@ -471,15 +433,17 @@ mod tests {
         assert_eq!((m, n, k), (plan.m, plan.n, plan.k));
         c.scale(beta);
         if plan.threads() <= 1 {
+            let (m_tiles, n_tiles) = (&plan.m_tiles, &plan.n_tiles);
             run_tiles(
                 plan,
                 false,
                 alpha,
                 a,
                 b,
+                S::ONE,
                 &mut c,
-                &plan.m_tiles,
-                &plan.n_tiles,
+                m_tiles,
+                n_tiles,
                 0,
                 0,
             );
@@ -506,7 +470,17 @@ mod tests {
                         {
                             let mut lm = local.as_mut();
                             run_tiles(
-                                plan, false, alpha, a, b, &mut lm, m_tiles, n_tiles, i_base, j_base,
+                                plan,
+                                false,
+                                alpha,
+                                a,
+                                b,
+                                S::ONE,
+                                &mut lm,
+                                m_tiles,
+                                n_tiles,
+                                i_base,
+                                j_base,
                             );
                         }
                         (i_base, j_base, rows, cols, local)
@@ -527,28 +501,55 @@ mod tests {
         }
     }
 
+    /// The walker against its oracle, bit for bit: one-thread and
+    /// split plans, packing and non-packing plans, several k blocks,
+    /// and `beta` 0, 1 and 0.5 (which the walker applies in the first
+    /// block's merge and the oracle in a pass of its own).
     #[test]
     fn pooled_execution_is_bit_identical_to_spawn_per_call() {
-        for &(m, n, k, threads) in &[
-            (48usize, 96usize, 24usize, 4usize),
-            (96, 16, 32, 8),
-            (33, 27, 19, 2),
-            (64, 64, 64, 16),
+        let (mut split, mut packing, mut deep) = (false, false, false);
+        for &(m, n, k, threads, pack) in &[
+            (48usize, 96usize, 24usize, 4usize, None),
+            (96, 16, 32, 8, None),
+            (33, 27, 19, 2, None),
+            (64, 64, 64, 16, None),
+            (33, 27, 19, 1, None),
+            (13, 7, 11, 1, None),
+            (200, 40, 24, 1, None),
+            (40, 36, 600, 1, Some(true)),
+            (40, 36, 600, 4, Some(true)),
+            (40, 36, 600, 4, Some(false)),
+            (17, 29, 1100, 1, Some(false)),
         ] {
             let cfg = PlanConfig {
                 max_threads: threads,
+                pack_a: pack,
+                pack_b: pack,
                 ..Default::default()
             };
             let plan = SmmPlan::build(m, n, k, &cfg);
+            split |= plan.threads() > 1;
+            packing |= plan.pack_a || plan.pack_b;
+            deep |= plan.kc < k;
             let a = Mat::<f32>::random(m, k, 41);
             let b = Mat::<f32>::random(k, n, 42);
-            let mut c_pool = Mat::<f32>::random(m, n, 43);
-            let mut c_spawn = c_pool.clone();
-            execute(&plan, 1.5, a.as_ref(), b.as_ref(), 0.25, c_pool.as_mut());
-            execute_spawn_per_call(&plan, 1.5, a.as_ref(), b.as_ref(), 0.25, c_spawn.as_mut());
-            for (x, y) in c_pool.data().iter().zip(c_spawn.data()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{m}x{n}x{k} t{threads}");
+            for beta in [0.0, 1.0, 0.5] {
+                let mut c_pool = Mat::<f32>::random(m, n, 43);
+                let mut c_spawn = c_pool.clone();
+                execute(&plan, 1.5, a.as_ref(), b.as_ref(), beta, c_pool.as_mut());
+                execute_spawn_per_call(&plan, 1.5, a.as_ref(), b.as_ref(), beta, c_spawn.as_mut());
+                for (x, y) in c_pool.data().iter().zip(c_spawn.data()) {
+                    assert_eq!(
+                        x.to_bits(),
+                        y.to_bits(),
+                        "{m}x{n}x{k} t{threads} beta {beta}"
+                    );
+                }
             }
         }
+        assert!(
+            split && packing && deep,
+            "the cases cover split, packing and k > kc plans"
+        );
     }
 }

@@ -170,8 +170,6 @@ pub struct SmmPlan {
     pub pack_a: bool,
     /// Pack `B` into `nr`-slivers?
     pub pack_b: bool,
-    /// Pack N-edge slivers even when `B` is unpacked (Fig. 8).
-    pub pack_edge_b: bool,
     /// k-blocking depth.
     pub kc: usize,
     /// Exact M tiles (offset/logical == kernel; no padding).
@@ -226,8 +224,6 @@ impl SmmPlan {
             kernel,
             pack_a,
             pack_b,
-            // Fig. 8: edge slivers are packed even when B is not.
-            pack_edge_b: true,
             kc,
             m_tiles,
             n_tiles,

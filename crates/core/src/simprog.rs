@@ -52,13 +52,17 @@ pub fn build_sim(plan: &SmmPlan) -> SimJob {
             let mut kk = 0;
             while kk < k {
                 let kc = plan.kc.min(k - kk);
-                // B packing decisions per sliver.
+                // B packing decisions per sliver. Edge slivers are
+                // packed even when B is not: the Fig. 8 remedy for the
+                // simulated scalar edge kernels. (Native SIMD nests
+                // read strided B, so the native walker packs only
+                // under `plan.pack_b`.)
                 let mut b_off = Vec::with_capacity(n_tiles.len());
                 let mut packed = Vec::with_capacity(n_tiles.len());
                 let mut off = 0u64;
                 for jt in n_tiles {
                     let edge = jt.logical < nr;
-                    let do_pack = plan.pack_b || (edge && plan.pack_edge_b);
+                    let do_pack = plan.pack_b || edge;
                     packed.push(do_pack);
                     b_off.push(off);
                     if do_pack {

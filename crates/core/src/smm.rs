@@ -507,14 +507,12 @@ mod tests {
     fn builder_configures_threads_cache_and_packing() {
         let smm = Smm::<f32>::builder().threads(4).cache_capacity(64).build();
         assert_eq!(smm.config().max_threads, 4);
-        // Packing is the P2C model's decision (§III-A), not a setting,
-        // and edge slivers are always packed (Fig. 8).
+        // Packing is the P2C model's decision (§III-A), not a setting.
         assert_eq!((smm.config().pack_a, smm.config().pack_b), (None, None));
         for (m, n, k) in [(8, 64, 32), (20, 20, 20), (192, 192, 192)] {
             let plan = smm.plan(m, n, k);
             let model = SmmPlan::build(m, n, k, smm.config());
             assert_eq!((plan.pack_a, plan.pack_b), (model.pack_a, model.pack_b));
-            assert!(plan.pack_edge_b, "{m}x{n}x{k}");
         }
         for m in 1..=100 {
             smm.plan(m, 4, 4);

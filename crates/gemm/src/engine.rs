@@ -210,14 +210,14 @@ fn run_tile<S: Scalar>(
         // jj+jt.offset) heads a `kernel x kernel` window inside `c`,
         // whose elements `&mut c` owns exclusively; the kernel writes
         // exactly that footprint with stride `ldc = c.ld()`.
-        unsafe { kernel.run_ptr(kc, alpha, a_sl, it.kernel, b_sl, ptr, ldc) };
+        unsafe { kernel.run_ptr(kc, alpha, a_sl, it.kernel, b_sl, S::ONE, ptr, ldc) };
     } else {
         // Padded tile (BLIS/BLASFEO): compute the full register tile
         // into scratch, then merge only the logical part into C.
         let need = it.kernel * jt.kernel;
         scratch.clear();
         scratch.resize(need, S::ZERO);
-        kernel.run(kc, alpha, a_sl, it.kernel, b_sl, scratch, it.kernel);
+        kernel.run(kc, alpha, a_sl, it.kernel, b_sl, S::ONE, scratch, it.kernel);
         for j in 0..jt.logical {
             for i in 0..it.logical {
                 let gi = ii + it.offset + i;

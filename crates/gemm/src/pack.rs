@@ -238,6 +238,7 @@ mod tests {
             &pa,
             8,
             smm_kernels::BOperand::Packed(&pb),
+            1.0,
             &mut c,
             m,
         );

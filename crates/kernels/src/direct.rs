@@ -25,7 +25,15 @@ mod tests {
     /// to the reference.
     fn check(mr: usize, nr: usize, kc: usize) {
         for col_major_b in [false, true] {
-            check_case(Kernel::<f32>::for_shape(mr, nr), kc, 2.0, 5, col_major_b, 1);
+            check_case(
+                Kernel::<f32>::for_shape(mr, nr),
+                kc,
+                2.0,
+                1.0,
+                5,
+                col_major_b,
+                1,
+            );
         }
     }
 
@@ -64,12 +72,12 @@ mod tests {
         let mut c1 = vec![0.0f32; 16];
         let mut c2 = vec![0.0f32; 16];
         let mut want = vec![0.0f32; 16];
-        Kernel::<f32>::for_shape(4, 4).run(kc, 1.0, &a, 4, BOperand::Packed(&bp), &mut c1, 4);
+        Kernel::<f32>::for_shape(4, 4).run(kc, 1.0, &a, 4, BOperand::Packed(&bp), 1.0, &mut c1, 4);
         let k = KernelRegistry::new()
             .lookup::<f32>(4, 4)
             .expect("4x4 fits NEON");
         k.run(kc, 1.0, &a, &bp, &mut c2, 4);
-        microkernel_reference(4, 4, kc, 1.0, &a, &bp, &mut want, 4);
+        microkernel_reference(4, 4, kc, 1.0, &a, &bp, 1.0, &mut want, 4);
         assert_eq!(c1, want);
         assert_eq!(c2, want);
     }
@@ -80,7 +88,7 @@ mod tests {
         let empty: &[f32] = &[];
         for b in [BOperand::Packed(empty), BOperand::ColMajor(empty, 0)] {
             let mut c = vec![3.0f32; 16];
-            k.run(0, 1.0, empty, 4, b, &mut c, 4);
+            k.run(0, 1.0, empty, 4, b, 1.0, &mut c, 4);
             assert!(c.iter().all(|&x| x == 3.0), "{b:?}");
         }
     }
@@ -89,7 +97,16 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn oversized_tile_rejected() {
         let mut c = vec![0.0f32; 33 * 4];
-        Kernel::<f32>::for_shape(33, 4).run(0, 1.0, &[], 33, BOperand::Packed(&[]), &mut c, 33);
+        Kernel::<f32>::for_shape(33, 4).run(
+            0,
+            1.0,
+            &[],
+            33,
+            BOperand::Packed(&[]),
+            1.0,
+            &mut c,
+            33,
+        );
     }
 
     /// Shapes between the 16-row static tiles and the SVE-512 32-row
@@ -103,7 +120,16 @@ mod tests {
         let a: Vec<f32> = (0..mr * kc).map(|i| (i % 7) as f32 - 3.0).collect();
         let b: Vec<f32> = (0..nr * kc).map(|i| (i % 5) as f32 - 2.0).collect();
         let mut c = vec![0.0f32; mr * nr];
-        Kernel::<f32>::for_shape(mr, nr).run(kc, 1.0, &a, mr, BOperand::Packed(&b), &mut c, mr);
+        Kernel::<f32>::for_shape(mr, nr).run(
+            kc,
+            1.0,
+            &a,
+            mr,
+            BOperand::Packed(&b),
+            1.0,
+            &mut c,
+            mr,
+        );
         for j in 0..nr {
             for i in 0..mr {
                 let want: f32 = (0..kc).map(|p| a[p * mr + i] * b[p * nr + j]).sum();

@@ -2,10 +2,14 @@
 //! both the library strategies' Goto engine and the §IV reference path.
 //!
 //! A kernel call updates a column-major `mr × nr` block of `C` with
-//! leading dimension `ldc`, computing `C += alpha · Ã · B̃` exactly as
-//! Algorithm 1 (GEBP) of the paper: accumulate into a register tile,
-//! then merge into `C`. The operands follow the GotoBLAS format of
-//! Fig. 2, relaxed as §IV's packing-optional execution needs:
+//! leading dimension `ldc`, computing `C = alpha · Ã · B̃ + beta · C`
+//! as Algorithm 1 (GEBP) of the paper: accumulate into a register
+//! tile, then merge into `C`. The merge scales `C` on the way: it is
+//! `(c·beta) + alpha·acc`, and `beta = 1` skips the multiply, so a
+//! caller that scaled `C` beforehand and one that passes `beta` get
+//! the same bits, and no call makes a separate pass over `C`. The
+//! operands follow the GotoBLAS format of Fig. 2, relaxed as §IV's
+//! packing-optional execution needs:
 //!
 //! * `A` is read as `a[p*a_stride + i] = Ã(i, p)`. `a_stride = mr` is
 //!   the packed k-major panel; `a_stride = lda` streams a column-major
@@ -25,8 +29,11 @@
 //!   result. They are the fallback of every host and element type, and
 //!   the oracle the SIMD tiles are checked against;
 //! * the AVX2 and AVX-512 tiles of `crate::simd` (x86-64, `f32` only),
-//!   which fuse every multiply-add. [`Kernel::for_shape`] picks the
-//!   widest one the host runs, detected at run time.
+//!   which fuse every multiply-add, the merge included:
+//!   `fma(alpha, acc, c·beta)`. [`Kernel::for_shape`] picks the widest
+//!   one the host runs, detected at run time; on AVX-512 a tile of at
+//!   most 8 rows runs the AVX2 nest, which fills one `ymm` register
+//!   where a `zmm` would be half masked.
 //!
 //! Each implementation is bit-identical to its matching reference:
 //! [`microkernel_reference`] for the scalar loops,
@@ -51,7 +58,8 @@ pub enum KernelImpl {
     Scalar,
     /// x86-64 AVX2 + FMA, 8 `f32` lanes per register.
     Avx2,
-    /// x86-64 AVX-512F, 16 `f32` lanes per register.
+    /// x86-64 AVX-512F beside AVX2 + FMA, 16 `f32` lanes per register;
+    /// tiles of at most 8 rows run the AVX2 nest.
     Avx512,
 }
 
@@ -84,8 +92,12 @@ impl KernelImpl {
             KernelImpl::Avx2 => {
                 std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma")
             }
+            // Narrow tiles of an AVX-512 kernel run the AVX2 nest, so
+            // AVX-512 counts only beside AVX2 and FMA.
             #[cfg(all(target_arch = "x86_64", not(miri)))]
-            KernelImpl::Avx512 => std::is_x86_feature_detected!("avx512f"),
+            KernelImpl::Avx512 => {
+                std::is_x86_feature_detected!("avx512f") && KernelImpl::Avx2.is_available()
+            }
             #[cfg(not(all(target_arch = "x86_64", not(miri))))]
             _ => false,
         }
@@ -125,6 +137,7 @@ unsafe fn tile<S: Scalar, const MR: usize, const NR: usize>(
     a_stride: usize,
     b: &[S],
     (b_row, b_col): (usize, usize),
+    beta: S,
     c: *mut S,
     ldc: usize,
 ) {
@@ -139,16 +152,8 @@ unsafe fn tile<S: Scalar, const MR: usize, const NR: usize>(
             }
         }
     }
-    for j in 0..NR {
-        for i in 0..MR {
-            // SAFETY: (i, j) stays inside the MR x NR tile footprint
-            // the caller contractually owns through `c`.
-            unsafe {
-                let p = c.add(j * ldc + i);
-                *p = (*p).madd(alpha, acc[j][i]);
-            }
-        }
-    }
+    // SAFETY: the caller owns the MR x NR footprint of `c`.
+    unsafe { merge(&acc, MR, alpha, beta, c, ldc) }
 }
 
 /// Fallback kernel for any `mr × nr` up to [`MAX_TILE`] square.
@@ -168,6 +173,7 @@ unsafe fn tile_dyn<S: Scalar>(
     a_stride: usize,
     b: &[S],
     (b_row, b_col): (usize, usize),
+    beta: S,
     c: *mut S,
     ldc: usize,
 ) {
@@ -183,13 +189,62 @@ unsafe fn tile_dyn<S: Scalar>(
             }
         }
     }
-    for j in 0..nr {
+    // SAFETY: the caller owns the mr x nr footprint of `c`.
+    unsafe { merge(&acc[..nr], mr, alpha, beta, c, ldc) }
+}
+
+/// The scalar loops' merge of an accumulator tile (`acc[j][i]` for
+/// `j < acc.len()`, `i < mr`) into `C`: `c = (c·beta) + alpha·acc`
+/// through [`Scalar::madd`]. `beta = 1` skips the multiply, branching
+/// once outside the loops.
+///
+/// # Safety
+/// `c` must be valid for exclusive reads and writes of the elements
+/// `c + j*ldc + i` for `i < mr`, `j < acc.len()`.
+// SAFETY: an `unsafe fn` declaration — callers discharge the footprint
+// contract in `# Safety` above.
+#[inline(always)]
+unsafe fn merge<S: Scalar, const M: usize>(
+    acc: &[[S; M]],
+    mr: usize,
+    alpha: S,
+    beta: S,
+    c: *mut S,
+    ldc: usize,
+) {
+    // SAFETY: forwarding the caller's footprint contract.
+    unsafe {
+        if beta == S::ONE {
+            merge_scaled(acc, mr, alpha, |x| x, c, ldc)
+        } else {
+            merge_scaled(acc, mr, alpha, |x| x * beta, c, ldc)
+        }
+    }
+}
+
+/// [`merge`] with the scaling of `C` as a parameter.
+///
+/// # Safety
+/// As [`merge`].
+// SAFETY: an `unsafe fn` declaration — callers discharge the footprint
+// contract of `merge`.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)]
+unsafe fn merge_scaled<S: Scalar, const M: usize>(
+    acc: &[[S; M]],
+    mr: usize,
+    alpha: S,
+    scale: impl Fn(S) -> S,
+    c: *mut S,
+    ldc: usize,
+) {
+    for (j, col) in acc.iter().enumerate() {
         for i in 0..mr {
-            // SAFETY: (i, j) stays inside the mr x nr tile footprint
-            // the caller contractually owns through `c`.
+            // SAFETY: (i, j) stays inside the tile footprint the caller
+            // contractually owns through `c`.
             unsafe {
                 let p = c.add(j * ldc + i);
-                *p = (*p).madd(alpha, acc[j][i]);
+                *p = scale(*p).madd(alpha, col[i]);
             }
         }
     }
@@ -332,9 +387,11 @@ impl<S: Scalar> Kernel<S> {
         self.unrolled && STATIC_SHAPES.contains(&(self.mr, self.nr))
     }
 
-    /// Run against a raw `C` tile pointer — the in-place split-tile
-    /// path, where a covering `&mut [S]` cannot exist. `A` is read as
-    /// `a[p*a_stride + i]` for `p < kc`.
+    /// `C = alpha·A·B + beta·C` on a raw `C` tile pointer — the
+    /// in-place split-tile path, where a covering `&mut [S]` cannot
+    /// exist. `A` is read as `a[p*a_stride + i]` for `p < kc`. `beta`
+    /// scales `C` in the merge (see the module docs); with `kc = 0`
+    /// the tile still merges, adding `alpha·0`.
     ///
     /// # Safety
     /// `c` must be valid for exclusive reads and writes of the elements
@@ -350,6 +407,7 @@ impl<S: Scalar> Kernel<S> {
         a: &[S],
         a_stride: usize,
         b: BOperand<'_, S>,
+        beta: S,
         c: *mut S,
         ldc: usize,
     ) {
@@ -366,14 +424,14 @@ impl<S: Scalar> Kernel<S> {
         unsafe {
             if self.imp != KernelImpl::Scalar {
                 S::simd_tile(
-                    self.imp, mr, nr, kc, alpha, a, a_stride, b, b_strides, c, ldc,
+                    self.imp, mr, nr, kc, alpha, a, a_stride, b, b_strides, beta, c, ldc,
                 );
                 return;
             }
-            let ran =
-                self.unrolled && run_unrolled(mr, nr, kc, alpha, a, a_stride, b, b_strides, c, ldc);
+            let ran = self.unrolled
+                && run_unrolled(mr, nr, kc, alpha, a, a_stride, b, b_strides, beta, c, ldc);
             if !ran {
-                tile_dyn(mr, nr, kc, alpha, a, a_stride, b, b_strides, c, ldc);
+                tile_dyn(mr, nr, kc, alpha, a, a_stride, b, b_strides, beta, c, ldc);
             }
         }
     }
@@ -389,6 +447,7 @@ impl<S: Scalar> Kernel<S> {
         a: &[S],
         a_stride: usize,
         b: BOperand<'_, S>,
+        beta: S,
         c: &mut [S],
         ldc: usize,
     ) {
@@ -398,7 +457,7 @@ impl<S: Scalar> Kernel<S> {
         );
         // SAFETY: the assert above proves the slice covers the full
         // column-major tile footprint, and `&mut` makes it exclusive.
-        unsafe { self.run_ptr(kc, alpha, a, a_stride, b, c.as_mut_ptr(), ldc) }
+        unsafe { self.run_ptr(kc, alpha, a, a_stride, b, beta, c.as_mut_ptr(), ldc) }
     }
 }
 
@@ -423,13 +482,14 @@ macro_rules! static_shapes {
             a_stride: usize,
             b: &[S],
             b_strides: (usize, usize),
+            beta: S,
             c: *mut S,
             ldc: usize,
         ) -> bool {
             // SAFETY: forwarding the caller's tile-footprint contract.
             unsafe {
                 match (mr, nr) {
-                    $( ($mr, $nr) => tile::<S, $mr, $nr>(kc, alpha, a, a_stride, b, b_strides, c, ldc), )+
+                    $( ($mr, $nr) => tile::<S, $mr, $nr>(kc, alpha, a, a_stride, b, b_strides, beta, c, ldc), )+
                     _ => return false,
                 }
             }
@@ -549,13 +609,14 @@ impl<S: Scalar> KernelRef<S> {
         self.kernel.is_static()
     }
 
-    /// Run on packed slivers: `a` is the k-major `mr × kc` panel, `b`
-    /// the k-major `kc × nr` sliver (see [`Kernel::run`]).
+    /// `C += alpha·A·B` on packed slivers: `a` is the k-major
+    /// `mr × kc` panel, `b` the k-major `kc × nr` sliver (see
+    /// [`Kernel::run`], here with `beta = 1`).
     #[inline]
     pub fn run(&self, kc: usize, alpha: S, a: &[S], b: &[S], c: &mut [S], ldc: usize) {
         let mr = self.kernel.mr();
         self.kernel
-            .run(kc, alpha, a, mr, BOperand::Packed(b), c, ldc)
+            .run(kc, alpha, a, mr, BOperand::Packed(b), S::ONE, c, ldc)
     }
 }
 
@@ -623,7 +684,7 @@ impl KernelRegistry {
 
 /// Reference implementation of the same contract, used to validate the
 /// scalar kernels: plain triple loop over the packed slivers, through
-/// [`Scalar::madd`].
+/// [`Scalar::madd`], then `c·beta` and the merge.
 #[allow(clippy::too_many_arguments)]
 pub fn microkernel_reference<S: Scalar>(
     mr: usize,
@@ -632,10 +693,11 @@ pub fn microkernel_reference<S: Scalar>(
     alpha: S,
     a: &[S],
     b: &[S],
+    beta: S,
     c: &mut [S],
     ldc: usize,
 ) {
-    reference_with(S::madd, mr, nr, kc, alpha, a, b, c, ldc);
+    reference_with(S::madd, mr, nr, kc, alpha, a, b, beta, c, ldc);
 }
 
 /// The fused twin of [`microkernel_reference`], used to validate the
@@ -648,14 +710,16 @@ pub fn microkernel_reference_fused<S: Scalar>(
     alpha: S,
     a: &[S],
     b: &[S],
+    beta: S,
     c: &mut [S],
     ldc: usize,
 ) {
-    reference_with(S::fused_madd, mr, nr, kc, alpha, a, b, c, ldc);
+    reference_with(S::fused_madd, mr, nr, kc, alpha, a, b, beta, c, ldc);
 }
 
 /// The reference triple loop with the multiply-add `madd(acc, x, y) =
-/// acc + x·y` as a parameter.
+/// acc + x·y` as a parameter. It scales `C` by `beta` unconditionally,
+/// so a kernel's `beta = 1` shortcut is checked against a real multiply.
 #[allow(clippy::too_many_arguments)]
 fn reference_with<S: Scalar>(
     madd: fn(S, S, S) -> S,
@@ -665,6 +729,7 @@ fn reference_with<S: Scalar>(
     alpha: S,
     a: &[S],
     b: &[S],
+    beta: S,
     c: &mut [S],
     ldc: usize,
 ) {
@@ -674,7 +739,7 @@ fn reference_with<S: Scalar>(
             for p in 0..kc {
                 acc = madd(acc, a[p * mr + i], b[p * nr + j]);
             }
-            c[j * ldc + i] = madd(c[j * ldc + i], alpha, acc);
+            c[j * ldc + i] = madd(c[j * ldc + i] * beta, alpha, acc);
         }
     }
 }
@@ -709,14 +774,15 @@ pub(crate) mod tests {
         alpha: S,
         a: &[S],
         b: &[S],
+        beta: S,
         c: &mut [S],
         ldc: usize,
     ) {
         let (mr, nr) = (kernel.mr(), kernel.nr());
         if kernel.is_fused() {
-            microkernel_reference_fused(mr, nr, kc, alpha, a, b, c, ldc);
+            microkernel_reference_fused(mr, nr, kc, alpha, a, b, beta, c, ldc);
         } else {
-            microkernel_reference(mr, nr, kc, alpha, a, b, c, ldc);
+            microkernel_reference(mr, nr, kc, alpha, a, b, beta, c, ldc);
         }
     }
 
@@ -737,15 +803,37 @@ pub(crate) mod tests {
         kernel: Kernel<S>,
         kc: usize,
         alpha: S,
+        beta: S,
         a_pad: usize,
         col_major_b: bool,
         seed: u64,
+    ) {
+        run_case(kernel, kc, alpha, beta, a_pad, col_major_b, seed, false);
+    }
+
+    /// [`check_case`], optionally with a NaN planted in every third
+    /// element of `C` (the gaps between columns included).
+    #[allow(clippy::too_many_arguments)]
+    fn run_case<S: Scalar>(
+        kernel: Kernel<S>,
+        kc: usize,
+        alpha: S,
+        beta: S,
+        a_pad: usize,
+        col_major_b: bool,
+        seed: u64,
+        nan_c: bool,
     ) {
         let (mr, nr) = (kernel.mr(), kernel.nr());
         let (a_stride, ldb, ldc) = (mr + a_pad, kc + 3, mr + 2);
         let a = fill::<S>(a_stride * kc, seed);
         let b = fill::<S>(ldb * nr, seed + 1);
-        let c0 = fill::<S>(ldc * nr, seed + 2);
+        let mut c0 = fill::<S>(ldc * nr, seed + 2);
+        if nan_c {
+            c0.iter_mut()
+                .step_by(3)
+                .for_each(|x| *x = S::from_f64(f64::NAN));
+        }
         let mut a_packed = Vec::with_capacity(mr * kc);
         let mut b_packed = Vec::with_capacity(kc * nr);
         for p in 0..kc {
@@ -758,13 +846,21 @@ pub(crate) mod tests {
             BOperand::Packed(&b_packed)
         };
         let mut c = c0.clone();
-        kernel.run(kc, alpha, &a, a_stride, b_op, &mut c, ldc);
+        kernel.run(kc, alpha, &a, a_stride, b_op, beta, &mut c, ldc);
         let mut want = c0.clone();
-        reference_for(&kernel, kc, alpha, &a_packed, &b_packed, &mut want, ldc);
-        let ctx = format!("{kernel:?} kc={kc} a_pad={a_pad} col_major_b={col_major_b}");
+        reference_for(
+            &kernel, kc, alpha, &a_packed, &b_packed, beta, &mut want, ldc,
+        );
+        let ctx = format!(
+            "{kernel:?} kc={kc} beta={beta} a_pad={a_pad} col_major_b={col_major_b} nan_c={nan_c}"
+        );
         assert_bits_eq(&c, &want, &ctx);
-        if kc == 0 {
+        if kc == 0 && beta == S::ONE {
             assert_bits_eq(&c, &c0, &ctx);
+        }
+        if nan_c {
+            // NaN·0 is NaN: beta = 0 scales C, it does not overwrite it.
+            assert!(c[0].to_f64().is_nan(), "{ctx}");
         }
     }
 
@@ -772,8 +868,10 @@ pub(crate) mod tests {
     /// host runs (scalar, AVX2, AVX-512): every shape up to `MAX_TILE`
     /// square (scalar: static shapes unrolled, the rest on the
     /// fallback), both `B` layouts, packed and strided `A`, `kc` 0, 5
-    /// and 37, f32 and f64 — each output bit-identical to the
-    /// reference with the implementation's multiply-add.
+    /// and 37, `beta` 0, 1 and -0.75, f32 and f64 — each output
+    /// bit-identical to the reference with the implementation's
+    /// multiply-add, which scales `C` by `beta` before the merge. Each
+    /// shape also merges into a `C` holding NaNs with `beta = 0`.
     #[test]
     fn every_shape_layout_and_stride_matches_reference() {
         fn sweep<S: Scalar>(imp: KernelImpl) {
@@ -784,14 +882,18 @@ pub(crate) mod tests {
                     let kernel = Kernel::<S>::on(mr, nr, imp).expect("available");
                     assert_eq!(kernel.implementation(), imp);
                     for kc in [0, 5, 37] {
-                        for a_pad in [0, 5] {
-                            for col_major_b in [false, true] {
-                                let alpha = S::from_f64(alphas[seed as usize % alphas.len()]);
-                                check_case(kernel, kc, alpha, a_pad, col_major_b, seed);
-                                seed += 3;
+                        for beta in [0.0, 1.0, -0.75] {
+                            for a_pad in [0, 5] {
+                                for col_major_b in [false, true] {
+                                    let alpha = S::from_f64(alphas[seed as usize % alphas.len()]);
+                                    let beta = S::from_f64(beta);
+                                    check_case(kernel, kc, alpha, beta, a_pad, col_major_b, seed);
+                                    seed += 3;
+                                }
                             }
                         }
                     }
+                    run_case(kernel, 5, S::ONE, S::ZERO, 0, false, seed, true);
                 }
             }
         }
@@ -812,8 +914,8 @@ pub(crate) mod tests {
         let b = fill::<f32>(kc * nr, 2);
         let c0 = fill::<f32>(mr * nr, 3);
         let (mut plain, mut fused) = (c0.clone(), c0);
-        microkernel_reference(mr, nr, kc, 1.5, &a, &b, &mut plain, mr);
-        microkernel_reference_fused(mr, nr, kc, 1.5, &a, &b, &mut fused, mr);
+        microkernel_reference(mr, nr, kc, 1.5, &a, &b, 1.0, &mut plain, mr);
+        microkernel_reference_fused(mr, nr, kc, 1.5, &a, &b, 1.0, &mut fused, mr);
         let differ = plain.iter().zip(&fused).filter(|(x, y)| x != y).count();
         assert!(differ > mr * nr / 4, "only {differ} elements differ");
     }
@@ -877,7 +979,7 @@ pub(crate) mod tests {
                     let mut c = fill::<f32>(mr * nr, 3);
                     let mut want = c.clone();
                     k.run(kc, 1.5, &a, &b, &mut c, mr);
-                    reference_for(&k.kernel(), kc, 1.5, &a, &b, &mut want, mr);
+                    reference_for(&k.kernel(), kc, 1.5, &a, &b, 1.0, &mut want, mr);
                     assert_bits_eq(&c, &want, &format!("{k:?}"));
                 }
             }
@@ -902,20 +1004,20 @@ pub(crate) mod tests {
     #[test]
     fn all_static_shapes_match_reference() {
         for &(mr, nr) in STATIC_SHAPES {
-            check_case(Kernel::<f32>::for_shape(mr, nr), 37, 1.0, 0, false, 1);
+            check_case(Kernel::<f32>::for_shape(mr, nr), 37, 1.0, 1.0, 0, false, 1);
         }
     }
 
     #[test]
     fn alpha_scaling_applies() {
-        check_case(Kernel::<f32>::for_shape(8, 8), 16, -2.5, 0, false, 1);
-        check_case(Kernel::<f32>::for_shape(16, 4), 5, 0.5, 0, false, 2);
+        check_case(Kernel::<f32>::for_shape(8, 8), 16, -2.5, 1.0, 0, false, 1);
+        check_case(Kernel::<f32>::for_shape(16, 4), 5, 0.5, 1.0, 0, false, 2);
     }
 
     #[test]
     fn kc_zero_leaves_c_untouched_modulo_alpha_times_zero() {
         let mut c = vec![7.0f32; 16];
-        Kernel::<f32>::for_shape(4, 4).run(0, 3.0, &[], 4, BOperand::Packed(&[]), &mut c, 4);
+        Kernel::<f32>::for_shape(4, 4).run(0, 3.0, &[], 4, BOperand::Packed(&[]), 1.0, &mut c, 4);
         assert!(c.iter().all(|&x| x == 7.0));
     }
 
@@ -925,8 +1027,8 @@ pub(crate) mod tests {
         let b: Vec<f64> = (0..8 * 4).map(|i| (i % 7) as f64).collect();
         let mut c = vec![0.0f64; 4 * 4];
         let mut c_ref = c.clone();
-        Kernel::<f64>::for_shape(4, 4).run(8, 1.0, &a, 4, BOperand::Packed(&b), &mut c, 4);
-        microkernel_reference(4, 4, 8, 1.0, &a, &b, &mut c_ref, 4);
+        Kernel::<f64>::for_shape(4, 4).run(8, 1.0, &a, 4, BOperand::Packed(&b), 1.0, &mut c, 4);
+        microkernel_reference(4, 4, 8, 1.0, &a, &b, 1.0, &mut c_ref, 4);
         assert_eq!(c, c_ref);
     }
 
@@ -935,7 +1037,7 @@ pub(crate) mod tests {
         let a = vec![1.0f32; 4]; // 4x1 of ones, kc=1
         let b = vec![2.0f32; 1];
         let mut c = vec![10.0f32; 4];
-        Kernel::<f32>::for_shape(4, 1).run(1, 1.0, &a, 4, BOperand::Packed(&b), &mut c, 4);
+        Kernel::<f32>::for_shape(4, 1).run(1, 1.0, &a, 4, BOperand::Packed(&b), 1.0, &mut c, 4);
         assert_eq!(c, vec![12.0; 4]);
     }
 
@@ -944,7 +1046,7 @@ pub(crate) mod tests {
         assert!(!Kernel::<f32>::for_shape(7, 5).is_static());
         assert!(!Kernel::<f32>::for_shape(32, 12).is_static());
         assert!(!Kernel::<f32>::fallback(8, 8).is_static());
-        check_case(Kernel::<f32>::fallback(8, 8), 9, 1.5, 0, false, 7);
+        check_case(Kernel::<f32>::fallback(8, 8), 9, 1.5, 1.0, 0, false, 7);
     }
 
     #[test]
@@ -964,6 +1066,7 @@ pub(crate) mod tests {
             &[0.0; 8],
             4,
             BOperand::Packed(&[0.0; 64]),
+            1.0,
             &mut c,
             4,
         );
@@ -982,7 +1085,7 @@ pub(crate) mod tests {
         let mut c = fill(8 * 8, 3);
         let mut c_ref = c.clone();
         k.run(4, 1.0, &a, &b, &mut c, 8);
-        reference_for(&k.kernel(), 4, 1.0, &a, &b, &mut c_ref, 8);
+        reference_for(&k.kernel(), 4, 1.0, &a, &b, 1.0, &mut c_ref, 8);
         assert_eq!(c, c_ref);
     }
 

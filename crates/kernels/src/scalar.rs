@@ -55,7 +55,8 @@ pub trait Scalar:
     const SIMD_TILES: bool = false;
 
     /// The SIMD hook: run an `mr × nr` tile on `imp`, reading `B(p, j)`
-    /// as `b[p*b_strides.0 + j*b_strides.1]` (see
+    /// as `b[p*b_strides.0 + j*b_strides.1]` and merging as
+    /// `fma(alpha, acc, c·beta)` (see
     /// [`Kernel::run_ptr`](crate::Kernel::run_ptr) for the other
     /// operands). Only called when [`Scalar::SIMD_TILES`] is set; the
     /// default panics. `f32` overrides it with the AVX2 and AVX-512
@@ -79,6 +80,7 @@ pub trait Scalar:
         _a_stride: usize,
         _b: &[Self],
         _b_strides: (usize, usize),
+        _beta: Self,
         _c: *mut Self,
         _ldc: usize,
     ) {
@@ -123,17 +125,20 @@ impl Scalar for f32 {
         a_stride: usize,
         b: &[Self],
         b_strides: (usize, usize),
+        beta: Self,
         c: *mut Self,
         ldc: usize,
     ) {
         #[cfg(all(target_arch = "x86_64", not(miri)))]
         // SAFETY: forwarding the caller's contract unchanged.
         unsafe {
-            crate::simd::run(imp, mr, nr, kc, alpha, a, a_stride, b, b_strides, c, ldc)
+            crate::simd::run(
+                imp, mr, nr, kc, alpha, a, a_stride, b, b_strides, beta, c, ldc,
+            )
         }
         #[cfg(not(all(target_arch = "x86_64", not(miri))))]
         {
-            let _ = (mr, nr, kc, alpha, a, a_stride, b, b_strides, c, ldc);
+            let _ = (mr, nr, kc, alpha, a, a_stride, b, b_strides, beta, c, ldc);
             unreachable!("no {imp:?} tiles on this target")
         }
     }

@@ -9,13 +9,19 @@
 //! the `NV` vectors of the `A` column, masking the rows past `mr`
 //! (opmask on AVX-512, `maskload`/`maskstore` on AVX2), then broadcasts
 //! `B(p, j)` and does one FMA per accumulator: the broadcast scalar
-//! times a vector of `vfmacc.vf`. The merge is `c = fma(alpha, acc, c)`.
+//! times a vector of `vfmacc.vf`. The merge is
+//! `c = fma(alpha, acc, c·beta)`; `beta = 1` skips the multiply, the
+//! branch taken once outside the merge loops.
 //!
-//! Every multiply-add is fused and each element accumulates in the
-//! scalar loops' order, so a tile is bit-identical to
-//! [`crate::native::microkernel_reference_fused`]. Masked lanes are
-//! never read or written: a tile touches exactly the elements the
-//! operand asserts of [`crate::native`] cover.
+//! On AVX-512 a tile of at most 8 rows runs the AVX2 nest: one `ymm`
+//! register per column instead of a half-masked `zmm`, which ran the
+//! 8×8 and 8×12 tiles at 36–37 Gflop/s against the `ymm` nest's 58–66
+//! (`native_microkernels`, kc 64, on a 2-vCPU AVX-512 x86-64 host).
+//! Both nests fuse every multiply-add and accumulate each element in
+//! the scalar loops' order, so a tile is bit-identical to
+//! [`crate::native::microkernel_reference_fused`] on either. Masked
+//! lanes are never read or written: a tile touches exactly the elements
+//! the operand asserts of [`crate::native`] cover.
 
 use std::arch::x86_64::*;
 
@@ -46,7 +52,8 @@ macro_rules! by_columns {
 
 /// Run an `mr × nr` `f32` tile on `imp` (see
 /// [`Kernel::run_ptr`](crate::native::Kernel::run_ptr) for the
-/// operands; `B(p, j)` is `b[p*b_row + j*b_col]`).
+/// operands; `B(p, j)` is `b[p*b_row + j*b_col]`). On
+/// [`KernelImpl::Avx512`] a tile of at most 8 rows runs the AVX2 nest.
 ///
 /// # Safety
 /// As [`Kernel::run_ptr`](crate::native::Kernel::run_ptr) for an
@@ -66,6 +73,7 @@ pub(crate) unsafe fn run(
     a_stride: usize,
     b: &[f32],
     b_strides: (usize, usize),
+    beta: f32,
     c: *mut f32,
     ldc: usize,
 ) {
@@ -77,7 +85,7 @@ pub(crate) unsafe fn run(
             by_columns!(
                 $tile::<$nv>,
                 nr,
-                (mr, kc, alpha, a, a_stride, b, b_strides, c, ldc)
+                (mr, kc, alpha, a, a_stride, b, b_strides, beta, c, ldc)
             )
         };
     }
@@ -88,9 +96,12 @@ pub(crate) unsafe fn run(
     };
     // SAFETY: the asserts above bound every A and B read of the nests
     // to the slices; the caller owns the C footprint and vouches that
-    // `imp` runs here.
+    // `imp` runs here, and AVX-512 is available only beside AVX2 + FMA
+    // (`KernelImpl::is_available`), so its narrow tiles may run the
+    // AVX2 nest.
     unsafe {
         match (imp, mr.div_ceil(lanes)) {
+            (KernelImpl::Avx512, 1) if mr <= YMM_LANES => nest!(tile_avx2::<1>),
             (KernelImpl::Avx512, 1) => nest!(tile_avx512::<1>),
             (KernelImpl::Avx512, 2) => nest!(tile_avx512::<2>),
             (KernelImpl::Avx2, 1) => nest!(tile_avx2::<1>),
@@ -121,6 +132,7 @@ unsafe fn tile_avx512<const NV: usize, const NR: usize>(
     a_stride: usize,
     b: *const f32,
     (b_row, b_col): (usize, usize),
+    beta: f32,
     c: *mut f32,
     ldc: usize,
 ) {
@@ -150,20 +162,33 @@ unsafe fn tile_avx512<const NV: usize, const NR: usize>(
         }
     }
     let alpha = _mm512_set1_ps(alpha);
-    for (j, accj) in acc.iter().enumerate() {
-        for (v, &x) in accj.iter().enumerate() {
-            // SAFETY: rows v*16.. of C column j; the last vector's
-            // opmask confines both the load and the store to rows < mr.
-            unsafe {
-                let cp = c.add(j * ldc + v * ZMM_LANES);
-                if v + 1 < NV {
-                    _mm512_storeu_ps(cp, _mm512_fmadd_ps(alpha, x, _mm512_loadu_ps(cp)));
-                } else {
-                    let cv = _mm512_maskz_loadu_ps(mask, cp);
-                    _mm512_mask_storeu_ps(cp, mask, _mm512_fmadd_ps(alpha, x, cv));
+    // `c = fma(alpha, acc, $scaled)`, with `$cv` the loaded `C` vector.
+    macro_rules! merge {
+        ($cv:ident => $scaled:expr) => {
+            for (j, accj) in acc.iter().enumerate() {
+                for (v, &x) in accj.iter().enumerate() {
+                    // SAFETY: rows v*16.. of C column j; the last
+                    // vector's opmask confines both the load and the
+                    // store to rows < mr.
+                    unsafe {
+                        let cp = c.add(j * ldc + v * ZMM_LANES);
+                        if v + 1 < NV {
+                            let $cv = _mm512_loadu_ps(cp);
+                            _mm512_storeu_ps(cp, _mm512_fmadd_ps(alpha, x, $scaled));
+                        } else {
+                            let $cv = _mm512_maskz_loadu_ps(mask, cp);
+                            _mm512_mask_storeu_ps(cp, mask, _mm512_fmadd_ps(alpha, x, $scaled));
+                        }
+                    }
                 }
             }
-        }
+        };
+    }
+    if beta == 1.0 {
+        merge!(cv => cv);
+    } else {
+        let beta = _mm512_set1_ps(beta);
+        merge!(cv => _mm512_mul_ps(cv, beta));
     }
 }
 
@@ -186,6 +211,7 @@ unsafe fn tile_avx2<const NV: usize, const NR: usize>(
     a_stride: usize,
     b: *const f32,
     (b_row, b_col): (usize, usize),
+    beta: f32,
     c: *mut f32,
     ldc: usize,
 ) {
@@ -219,19 +245,32 @@ unsafe fn tile_avx2<const NV: usize, const NR: usize>(
         }
     }
     let alpha = _mm256_set1_ps(alpha);
-    for (j, accj) in acc.iter().enumerate() {
-        for (v, &x) in accj.iter().enumerate() {
-            // SAFETY: rows v*8.. of C column j; the last vector's lane
-            // mask confines both the load and the store to rows < mr.
-            unsafe {
-                let cp = c.add(j * ldc + v * YMM_LANES);
-                if v + 1 < NV {
-                    _mm256_storeu_ps(cp, _mm256_fmadd_ps(alpha, x, _mm256_loadu_ps(cp)));
-                } else {
-                    let cv = _mm256_maskload_ps(cp, mask);
-                    _mm256_maskstore_ps(cp, mask, _mm256_fmadd_ps(alpha, x, cv));
+    // `c = fma(alpha, acc, $scaled)`, with `$cv` the loaded `C` vector.
+    macro_rules! merge {
+        ($cv:ident => $scaled:expr) => {
+            for (j, accj) in acc.iter().enumerate() {
+                for (v, &x) in accj.iter().enumerate() {
+                    // SAFETY: rows v*8.. of C column j; the last
+                    // vector's lane mask confines both the load and the
+                    // store to rows < mr.
+                    unsafe {
+                        let cp = c.add(j * ldc + v * YMM_LANES);
+                        if v + 1 < NV {
+                            let $cv = _mm256_loadu_ps(cp);
+                            _mm256_storeu_ps(cp, _mm256_fmadd_ps(alpha, x, $scaled));
+                        } else {
+                            let $cv = _mm256_maskload_ps(cp, mask);
+                            _mm256_maskstore_ps(cp, mask, _mm256_fmadd_ps(alpha, x, $scaled));
+                        }
+                    }
                 }
             }
-        }
+        };
+    }
+    if beta == 1.0 {
+        merge!(cv => cv);
+    } else {
+        let beta = _mm256_set1_ps(beta);
+        merge!(cv => _mm256_mul_ps(cv, beta));
     }
 }

@@ -57,8 +57,17 @@ fn kernels_match_reference() {
         let ldc = mr + (seed % 3) as usize;
         let mut c = data(ldc * nr.max(1), seed + 2);
         let mut c_ref = c.clone();
-        Kernel::<f32>::for_shape(mr, nr).run(kc, alpha, &a, mr, BOperand::Packed(&b), &mut c, ldc);
-        microkernel_reference(mr, nr, kc, alpha, &a, &b, &mut c_ref, ldc);
+        Kernel::<f32>::for_shape(mr, nr).run(
+            kc,
+            alpha,
+            &a,
+            mr,
+            BOperand::Packed(&b),
+            1.0,
+            &mut c,
+            ldc,
+        );
+        microkernel_reference(mr, nr, kc, alpha, &a, &b, 1.0, &mut c_ref, ldc);
         for i in 0..c.len() {
             assert!(
                 (c[i] - c_ref[i]).abs() < 1e-3 * (kc as f32 + 1.0),
@@ -180,8 +189,17 @@ fn static_and_dynamic_agree_everywhere() {
         let mut c2 = c1.clone();
         let unrolled = Kernel::<f32>::on(mr, nr, KernelImpl::Scalar).expect("scalar runs anywhere");
         assert!(unrolled.is_static(), "{mr}x{nr}");
-        unrolled.run(kc, 1.0, &a, mr, BOperand::Packed(&b), &mut c1, mr);
-        Kernel::<f32>::fallback(mr, nr).run(kc, 1.0, &a, mr, BOperand::Packed(&b), &mut c2, mr);
+        unrolled.run(kc, 1.0, &a, mr, BOperand::Packed(&b), 1.0, &mut c1, mr);
+        Kernel::<f32>::fallback(mr, nr).run(
+            kc,
+            1.0,
+            &a,
+            mr,
+            BOperand::Packed(&b),
+            1.0,
+            &mut c2,
+            mr,
+        );
         assert_eq!(c1, c2, "{mr}x{nr}");
     }
 }

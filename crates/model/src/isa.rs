@@ -130,18 +130,18 @@ impl VectorIsa {
     }
 
     /// The descriptor of the machine running this process, detected at
-    /// run time: [`avx512`](Self::avx512) when AVX-512F is present,
-    /// [`avx2`](Self::avx2) when AVX2 and FMA are, and
+    /// run time: [`avx2`](Self::avx2) when AVX2 and FMA are present,
+    /// [`avx512`](Self::avx512) when AVX-512F is too, and
     /// [`neon128`](Self::neon128) — the paper's target and the
     /// simulated default — everywhere else (aarch64, SSE2-only x86-64,
     /// interpreters such as Miri).
     pub fn host() -> Self {
         #[cfg(all(target_arch = "x86_64", not(miri)))]
         {
-            if std::is_x86_feature_detected!("avx512f") {
-                return Self::avx512();
-            }
             if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma") {
+                if std::is_x86_feature_detected!("avx512f") {
+                    return Self::avx512();
+                }
                 return Self::avx2();
             }
         }
